@@ -257,7 +257,7 @@ def cmd_mldegree(args) -> int:
         if shift.values.size == 0:
             print("error: no usable observations (all weights are zero)", file=sys.stderr)
             return 3
-        values = list(shift.values)
+        values = shift.values
         mode = "approx"
     try:
         doc = mldegree.ml_degree_report(values)

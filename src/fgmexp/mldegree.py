@@ -99,26 +99,23 @@ class CommonZeroReport:
     zeros: tuple[tuple, ...]
 
 
-def _infer_policy(values: Sequence) -> str:
-    exact = all(isinstance(v, (Fraction, int, np.integer)) for v in values)
-    return "exact" if exact else "approx"
-
-
 def profile(c: Sequence, policy: str | None = None) -> MultiplicityProfile:
     """Group the shift values under the given equality policy.
 
     Exact policy compares rationals exactly; approximate policy clusters
     floats whose gap is within ``1e-9 * max(1, |value|)``, closed
     transitively so the result is a partition.  With ``policy=None`` the
-    scalar types decide.
+    scalar types decide: all rational means exact, anything else
+    (floats, or a mixture) approximate.
     """
-    values = list(c)
+    values = c if isinstance(c, np.ndarray) and c.ndim == 1 else list(c)
     if len(values) == 0:
         raise ValueError("need at least one shift value")
+    kind = polynomials.scalar_kind(values)
     if policy is None:
-        policy = _infer_policy(values)
+        policy = "exact" if kind == polynomials.RATIONAL else "approx"
     if policy == "exact":
-        if _infer_policy(values) != "exact":
+        if kind != polynomials.RATIONAL:
             raise ScalarModeError("exact policy requires rational (Fraction/int) values")
         exact_values = [Fraction(v) for v in values]
         if any(v == 0 for v in exact_values):
@@ -130,32 +127,24 @@ def profile(c: Sequence, policy: str | None = None) -> MultiplicityProfile:
         return MultiplicityProfile(len(values), groups, "exact")
     if policy != "approx":
         raise ValueError(f"unknown equality policy {policy!r}")
-    fl = np.asarray([float(v) for v in values], dtype=float)
+    if isinstance(values, np.ndarray):
+        fl = np.asarray(values, dtype=float)
+    else:
+        fl = np.asarray([float(v) for v in values], dtype=float)
     if not np.all(np.isfinite(fl)) or np.any(fl == 0.0):
         raise ValueError("shift values must be finite and nonzero")
-    order = np.argsort(fl, kind="stable")
-    cluster_of = np.empty(len(fl), dtype=int)
-    n_clusters = 0
-    prev = None
-    for idx in order:
-        v = fl[idx]
-        if prev is not None:
-            gap_tol = APPROX_REL_TOL * max(1.0, abs(prev), abs(v))
-            if v - prev > gap_tol:
-                n_clusters += 1
-        cluster_of[idx] = n_clusters
-        prev = v
+    # sorted neighbours more than the tolerance apart start a new group;
+    # the sort need not be stable, as a group's representative is its
+    # smallest index wherever ties land
+    order = np.argsort(fl)
+    s = fl[order]
+    tol = APPROX_REL_TOL * np.maximum(1.0, np.maximum(np.abs(s[:-1]), np.abs(s[1:])))
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(s) > tol)))
+    mults = np.diff(np.append(starts, len(s)))
     # representative = first-appearing member, groups in first-appearance order
-    seen: dict[int, int] = {}
-    members: dict[int, int] = {}
-    for i, cl in enumerate(cluster_of):
-        cl = int(cl)
-        if cl not in seen:
-            seen[cl] = i
-            members[cl] = 0
-        members[cl] += 1
-    ordered = sorted(seen.items(), key=lambda kv: kv[1])
-    groups = tuple((float(fl[first]), members[cl]) for cl, first in ordered)
+    first = np.minimum.reduceat(order, starts)
+    by_first = np.argsort(first)
+    groups = tuple(zip(fl[first[by_first]].tolist(), mults[by_first].tolist()))
     return MultiplicityProfile(len(values), groups, "approx")
 
 

@@ -14,8 +14,11 @@ interval (-1, 1).
 from __future__ import annotations
 
 import csv
+import io
+import locale
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -96,41 +99,79 @@ class Observation:
         return (2.0 * math.exp(-self.x) - 1.0) * (2.0 * math.exp(-self.y) - 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Dataset:
-    """An ordered sample with derived per-observation weights.
+    """An ordered sample held as columns: frozen float64 arrays ``x`` and
+    ``y`` and the per-observation weights derived from them.
 
-    Weights are recomputed from the observations at construction and the
-    array is frozen, so they can never drift out of sync.  Observations
-    whose weight is exactly zero (a coordinate at ln 2) contribute
-    nothing to the score and are tracked in ``degenerate_indices``.
+    Weights are recomputed from the coordinates at construction and every
+    array is read-only, so they can never drift out of sync.
+    Observations whose weight is exactly zero (a coordinate at ln 2)
+    contribute nothing to the score and are tracked in
+    ``degenerate_indices``.  ``Dataset(observations)`` builds one from
+    :class:`Observation` points; :meth:`from_arrays` builds one from
+    coordinate arrays.  The per-point ``observations`` view is built on
+    first access.  Two datasets are equal when their coordinates are.
     """
 
-    observations: tuple[Observation, ...]
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-    degenerate_indices: tuple[int, ...] = field(init=False, compare=False)
+    x: np.ndarray
+    y: np.ndarray
+    weights: np.ndarray = field(repr=False)
+    degenerate_indices: tuple[int, ...]
 
-    def __post_init__(self):
-        obs = tuple(self.observations)
-        object.__setattr__(self, "observations", obs)
-        x = np.array([o.x for o in obs], dtype=float)
-        y = np.array([o.y for o in obs], dtype=float)
-        w = (2.0 * np.exp(-x) - 1.0) * (2.0 * np.exp(-y) - 1.0)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(
-            self, "degenerate_indices", tuple(int(i) for i in np.flatnonzero(w == 0.0))
+    def __init__(self, observations: Iterable[Observation]):
+        obs = tuple(observations)
+        self._set_columns(
+            np.array([o.x for o in obs], dtype=float),
+            np.array([o.y for o in obs], dtype=float),
         )
+        self.__dict__["observations"] = obs
+
+    def _set_columns(self, x: np.ndarray, y: np.ndarray) -> None:
+        w = (2.0 * np.exp(-x) - 1.0) * (2.0 * np.exp(-y) - 1.0)
+        for name, arr in (("x", x), ("y", y), ("weights", w)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(
+            self, "degenerate_indices", tuple(np.flatnonzero(w == 0.0).tolist())
+        )
+
+    @cached_property
+    def observations(self) -> tuple[Observation, ...]:
+        return tuple(Observation(a, b) for a, b in zip(self.x.tolist(), self.y.tolist()))
 
     @property
     def n(self) -> int:
-        return len(self.observations)
+        return len(self.x)
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return np.array_equal(self.x, other.x) and np.array_equal(self.y, other.y)
+
+    def __hash__(self):
+        return hash(self.observations)
 
     @classmethod
     def from_arrays(cls, x: Sequence[float], y: Sequence[float]) -> "Dataset":
+        """Dataset from coordinate sequences, copied to float64.
+
+        Raises the same ValueError as :class:`Observation` for the first
+        point that is negative or not finite.
+        """
+        x = np.array(x, dtype=float)
+        y = np.array(y, dtype=float)
+        if x.ndim != 1 or y.ndim != 1:
+            raise ValueError("x and y must be one-dimensional")
         if len(x) != len(y):
             raise ValueError("x and y must have equal length")
-        return cls(tuple(Observation(float(a), float(b)) for a, b in zip(x, y)))
+        bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)) | (x < 0.0) | (y < 0.0))
+        if bad.size:
+            i = int(bad[0])
+            Observation(float(x[i]), float(y[i]))  # raises the per-point ValueError
+        data = cls.__new__(cls)
+        data._set_columns(x, y)
+        return data
 
 
 class CShift(NamedTuple):
@@ -174,7 +215,8 @@ def log_likelihood(data: Dataset, theta: float, include_constant: bool = False) 
     """
     xy_sum = 0.0
     if include_constant:
-        xy_sum = float(sum(o.x + o.y for o in data.observations))
+        # left-to-right, as the per-point sum always was
+        xy_sum = float(sum((data.x + data.y).tolist()))
     return log_likelihood_weights(data.weights, theta, include_constant, xy_sum)
 
 
@@ -249,35 +291,84 @@ def read_csv(path) -> Dataset:
 
     Any malformed row (wrong arity, non-numeric, negative, or non-finite
     value) aborts with a :class:`DataFormatError` carrying the 1-based
-    line number.
+    line number; so does a byte the locale's text encoding cannot decode.
+    Blank rows are skipped.
     """
+    text = _read_text(path)
+    data = _parse_plain(text)
+    return data if data is not None else _parse_csv(text)
+
+
+def _read_text(path) -> str:
+    """The file decoded as ``open(path, newline="")`` would, line endings
+    kept; undecodable bytes raise :class:`DataFormatError`."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    encoding = locale.getpreferredencoding(False)
+    try:
+        return raw.decode(encoding)
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise DataFormatError(
+            line_no, f"cannot decode byte {raw[exc.start]:#04x} as {encoding}"
+        ) from None
+
+
+def _parse_plain(text: str) -> Dataset | None:
+    """Bulk parse of a file that needs none of the csv module's rules.
+
+    Returns None, for :func:`_parse_csv` to handle the whole file, unless
+    the text has no quote character and no lone carriage return, the
+    header splits into ``x`` and ``y``, every nonblank row splits on its
+    single comma into two fields that ``float()`` accepts, and every
+    value is finite and nonnegative.  On such text ``csv.reader`` reads
+    exactly these fields, so both parsers give the same dataset.
+    """
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text:
+        return None
+    header, _, body = text.partition("\n")
+    if [cell.strip() for cell in header.split(",")] != ["x", "y"]:
+        return None
+    rows = [row for row in body.split("\n") if row]
+    if any(row.count(",") != 1 for row in rows):
+        return None
+    cells = ",".join(rows).split(",") if rows else []
+    try:
+        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        return Dataset.from_arrays(values[0::2], values[1::2])
+    except ValueError:
+        return None
+
+
+def _parse_csv(text: str) -> Dataset:
+    """Row-by-row parse with ``csv.reader``; the source of every
+    line-numbered :class:`DataFormatError`."""
     observations = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [cell.strip() for cell in header] != ["x", "y"]:
-            raise DataFormatError(1, "expected header 'x,y'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataFormatError(line_no, f"expected 2 fields, got {len(row)}")
-            try:
-                x, y = float(row[0]), float(row[1])
-            except ValueError:
-                raise DataFormatError(line_no, f"non-numeric value in {row!r}") from None
-            try:
-                observations.append(Observation(x, y))
-            except ValueError as exc:
-                raise DataFormatError(line_no, str(exc)) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or [cell.strip() for cell in header] != ["x", "y"]:
+        raise DataFormatError(1, "expected header 'x,y'")
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise DataFormatError(line_no, f"expected 2 fields, got {len(row)}")
+        try:
+            x, y = float(row[0]), float(row[1])
+        except ValueError:
+            raise DataFormatError(line_no, f"non-numeric value in {row!r}") from None
+        try:
+            observations.append(Observation(x, y))
+        except ValueError as exc:
+            raise DataFormatError(line_no, str(exc)) from None
     return Dataset(tuple(observations))
 
 
 def write_csv(path, data: Dataset) -> None:
-    """Write a dataset as ``x,y`` CSV; float formatting is shortest
-    round-trip, so reruns are byte-identical."""
+    """Write a dataset as ``x,y`` CSV with CRLF line endings; float
+    formatting is shortest round-trip, so reruns are byte-identical."""
+    rows = [f"{a!r},{b!r}" for a, b in zip(data.x.tolist(), data.y.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for o in data.observations:
-            writer.writerow([repr(o.x), repr(o.y)])
+        fh.write("\r\n".join(["x,y", *rows, ""]))

@@ -30,6 +30,7 @@ __all__ = [
     "FLOAT",
     "Poly",
     "ScalarModeError",
+    "scalar_kind",
     "build_h",
     "build_k",
     "gcd",
@@ -54,18 +55,18 @@ def _coerce(values: Iterable, kind: str) -> tuple:
     return tuple(float(v) for v in values)
 
 
-def _detect_kind(values: Sequence) -> str:
-    """Infer the scalar kind of a sequence; reject mixtures."""
-    exact = all(isinstance(v, (Fraction, int, np.integer)) for v in values)
-    approx = all(isinstance(v, (float, np.floating)) for v in values)
-    if exact:
+def scalar_kind(values: Sequence) -> str | None:
+    """Scalar kind of a sequence: :data:`RATIONAL` when every value is a
+    Fraction or an integer, :data:`FLOAT` when every value is a float,
+    None for a mixture.  A one-dimensional ndarray of integers or floats
+    is decided by its dtype."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "fiu":
+        return FLOAT if values.dtype.kind == "f" else RATIONAL
+    if all(isinstance(v, (Fraction, int, np.integer)) for v in values):
         return RATIONAL
-    if approx:
+    if all(isinstance(v, (float, np.floating)) for v in values):
         return FLOAT
-    raise ScalarModeError(
-        "mixed scalar kinds: values must be all rational (Fraction/int) "
-        "or all float"
-    )
+    return None
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,12 @@ def _check_cvalues(c: Sequence) -> tuple[tuple, str]:
     values = list(c)
     if len(values) == 0:
         raise ValueError("need at least one shift value")
-    kind = _detect_kind(values)
+    kind = scalar_kind(values)
+    if kind is None:
+        raise ScalarModeError(
+            "mixed scalar kinds: values must be all rational (Fraction/int) "
+            "or all float"
+        )
     values = _coerce(values, kind)
     for v in values:
         if v == 0:

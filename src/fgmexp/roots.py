@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, score_weights
 from .polynomials import FLOAT, Poly, ScalarModeError
 
 __all__ = [
@@ -129,10 +129,6 @@ def _score_and_slope(w: np.ndarray, theta: float) -> tuple[float, float]:
     return float(np.sum(w / denom)), float(np.sum(-(w * w) / (denom * denom)))
 
 
-def _score_only(w: np.ndarray, theta: float) -> float:
-    return float(np.sum(w / (1.0 + theta * w)))
-
-
 def score_root_from_weights(w: np.ndarray) -> float | None:
     """The unique zero of the score on (-1, 1), or None when there is none.
 
@@ -152,8 +148,8 @@ def score_root_from_weights(w: np.ndarray) -> float | None:
         lo = -1.0 + ENDPOINT_OFFSET
     if np.any(1.0 + hi * w == 0.0):
         hi = 1.0 - ENDPOINT_OFFSET
-    f_lo = _score_only(w, lo)
-    f_hi = _score_only(w, hi)
+    f_lo = score_weights(w, lo)
+    f_hi = score_weights(w, hi)
     if not (f_lo > 0.0 and f_hi < 0.0):
         return None
     x = 0.5 * (lo + hi)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -24,6 +25,16 @@ class TestSample:
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().splitlines()[0] == "x,y"
         assert len(p1.read_text().splitlines()) == 6
+
+    def test_csv_bytes_match_golden_hash(self, tmp_path):
+        # digest of this file as csv.writer wrote it; writing the
+        # columns in one join must reproduce it byte for byte
+        path = tmp_path / "g.csv"
+        assert main(["sample", "--n", "1000", "--theta", "0.3", "--seed", "42",
+                     "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "fca709933b6bb11757b032bd6377cab9f6623e29b94385d48eae446974018cd6"
+        )
 
     def test_rejects_theta_out_of_range_before_io(self, tmp_path):
         out = tmp_path / "never.csv"
@@ -83,6 +94,16 @@ class TestFit:
             code, doc = run_cli(capsys, "fit", "--in", str(path))
             assert code == 0
             assert -1.0 <= doc["theta_hat"] <= 1.0
+
+
+@pytest.mark.parametrize("sub", ["fit", "mldegree"])
+def test_undecodable_bytes_exit_2_with_line_number(tmp_path, capsys, sub):
+    path = tmp_path / "bin.csv"
+    path.write_bytes(b"x,y\n1.0,2.0\n\xff\xfe\n")
+    assert main([sub, "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 3: cannot decode byte 0xff" in captured.err
 
 
 class TestMlDegree:

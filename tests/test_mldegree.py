@@ -88,6 +88,113 @@ class TestProfile:
         assert [v for v, _ in prof.groups] == [F(7), F(2), F(1)]
 
 
+def loop_profile_groups(values):
+    """The per-element loop the vectorised approximate profile replaced,
+    kept as its oracle: (representative, multiplicity) pairs."""
+    fl = np.asarray([float(v) for v in values], dtype=float)
+    order = np.argsort(fl, kind="stable")
+    cluster_of = np.empty(len(fl), dtype=int)
+    n_clusters = 0
+    prev = None
+    for idx in order:
+        v = fl[idx]
+        if prev is not None:
+            gap_tol = 1e-9 * max(1.0, abs(prev), abs(v))
+            if v - prev > gap_tol:
+                n_clusters += 1
+        cluster_of[idx] = n_clusters
+        prev = v
+    seen: dict[int, int] = {}
+    members: dict[int, int] = {}
+    for i, cl in enumerate(cluster_of):
+        cl = int(cl)
+        if cl not in seen:
+            seen[cl] = i
+            members[cl] = 0
+        members[cl] += 1
+    ordered = sorted(seen.items(), key=lambda kv: kv[1])
+    return tuple((float(fl[first]), members[cl]) for cl, first in ordered)
+
+
+def chain(start, count, rel_gap):
+    """``count`` values from ``start``, each gap ``rel_gap`` times the
+    tolerance at the previous value."""
+    out = [start]
+    for _ in range(count - 1):
+        v = out[-1]
+        out.append(v + rel_gap * 1e-9 * max(1.0, abs(v)))
+    return out
+
+
+NEAR_TOL = [0.999, 0.999999, 1.0, 1.000001, 1.001]
+
+
+@st.composite
+def adversarial_shifts(draw):
+    """Chains with gaps just under and just over the tolerance, around
+    |v| = 1 and elsewhere, both signs, with exact duplicates, shuffled."""
+    values = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.sampled_from([1.0, -1.0, 1.0 - 3e-9, -1.0 - 2e-9, 2.5, -7.0, 1e6, 0.5]))
+        count = draw(st.integers(1, 6))
+        values += chain(start, count, draw(st.sampled_from(NEAR_TOL)))
+    values += draw(st.lists(st.sampled_from(values), max_size=4))
+    values += draw(st.lists(st.floats(-1e3, 1e3).filter(lambda v: v != 0.0), max_size=4))
+    return draw(st.permutations(values))
+
+
+class TestApproxProfileMatchesLoop:
+    @pytest.mark.parametrize("values", [
+        [3.0],
+        chain(1.0, 8, 0.999999),
+        chain(1.0, 8, 1.000001),
+        chain(-1.0 - 4e-9, 9, 0.999),
+        chain(1.0 - 5e-9, 12, 1.0),
+        chain(1e6, 5, 0.999999) + chain(-1e6, 5, 1.000001),
+        [2.0, -2.0, 2.0, 2.0 + 1e-12, -2.0 - 1e-12, 5.0, 2.0],
+        [1.0, 1.0 + 1e-9, 1.0 + 2e-9, -1.0, -1.0 - 1e-9, 1.0 + 3.0000001e-9],
+        # the gap equals the tolerance exactly: not above it, one group
+        [-5e-10, 5e-10],
+        # the gap lies between the tolerances at the two values, so the
+        # larger magnitude of the pair must set it
+        [2.969533062764485, 2.969533065734018],
+        [-1.5471188785413972, -1.5471188769942783],
+    ])
+    def test_table(self, values):
+        for order in (values, values[::-1]):
+            want = loop_profile_groups(order)
+            assert profile(order, "approx").groups == want
+            assert profile(np.array(order), "approx").groups == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=adversarial_shifts())
+    def test_generated(self, values):
+        prof = profile(values, "approx")
+        assert prof.groups == loop_profile_groups(values)
+        assert prof.n == len(values)
+
+
+class TestScalarKind:
+    def test_mixed_input_outcome_per_caller(self):
+        # one detector: the profile falls back to approx, polynomials refuse
+        mixed = [F(1, 2), 0.5, 3]
+        assert polynomials.scalar_kind(mixed) is None
+        prof = profile(mixed)
+        assert prof.mode == "approx"
+        assert prof.groups == ((0.5, 2), (3.0, 1))
+        with pytest.raises(ScalarModeError):
+            profile(mixed, policy="exact")
+        with pytest.raises(ScalarModeError):
+            build_k(mixed)
+
+    def test_arrays_decided_by_dtype(self):
+        assert polynomials.scalar_kind(np.array([2, 2, 3])) == polynomials.RATIONAL
+        assert polynomials.scalar_kind(np.array([2.0, 3.0])) == polynomials.FLOAT
+        assert polynomials.scalar_kind(np.array([2.0], dtype=np.float32)) == polynomials.FLOAT
+        assert profile(np.array([2, 2, 3])).groups == ((F(2), 2), (F(3), 1))
+        assert profile(np.array([2.0, 2.0, 3.0])).mode == "approx"
+
+
 class TestCommonZeros:
     def test_worked_example(self):
         report = common_zeros(profile([F(1), F(1), F(2)]))

@@ -75,6 +75,49 @@ class TestDataset:
         ds = Dataset.from_arrays(rng.exponential(size=500), rng.exponential(size=500))
         assert np.all(np.abs(ds.weights) <= 1.0)
 
+    def test_columns_are_frozen_float64(self):
+        ds = Dataset.from_arrays([1, 2], [0.5, 3.0])
+        for arr in (ds.x, ds.y, ds.weights):
+            assert arr.dtype == np.float64
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert ds.x.tolist() == [1.0, 2.0] and ds.y.tolist() == [0.5, 3.0]
+
+    def test_from_arrays_copies_its_input(self):
+        x = np.array([1.0, 2.0])
+        ds = Dataset.from_arrays(x, [0.5, 3.0])
+        x[0] = 9.0
+        assert ds.x[0] == 1.0
+
+    def test_observations_view_built_on_demand(self):
+        ds = Dataset.from_arrays([0.25, 1.5], [2.0, 0.0])
+        assert ds.observations == (Observation(0.25, 2.0), Observation(1.5, 0.0))
+        assert ds.observations is ds.observations
+        obs = (Observation(0.1, 0.2), Observation(0.3, 0.4))
+        assert dataset([(0.1, 0.2), (0.3, 0.4)]).observations == obs
+
+    def test_both_constructors_agree(self):
+        a = dataset([(0.1, 0.2), (LN2, 0.4)])
+        b = Dataset.from_arrays([0.1, LN2], [0.2, 0.4])
+        assert a == b and hash(a) == hash(b)
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.degenerate_indices == b.degenerate_indices == (1,)
+        assert a != Dataset.from_arrays([0.1, LN2], [0.2, 0.5])
+
+    @pytest.mark.parametrize("x,y", [(-1.0, 0.0), (0.0, -0.5), (float("nan"), 1.0), (1.0, float("inf"))])
+    def test_from_arrays_rejects_first_bad_point_like_observation(self, x, y):
+        with pytest.raises(ValueError) as want:
+            Observation(x, y)
+        with pytest.raises(ValueError) as got:
+            Dataset.from_arrays([1.0, x, -5.0], [1.0, y, 1.0])
+        assert str(got.value) == str(want.value)
+
+    def test_from_arrays_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            Dataset.from_arrays([1.0, 2.0], [1.0])
+        with pytest.raises(ValueError):
+            Dataset.from_arrays([[1.0]], [[1.0]])
+
     def test_weight_one_only_at_origin(self):
         ds = dataset([(0.0, 0.0), (1e-9, 0.0)])
         assert ds.weights[0] == 1.0
@@ -133,6 +176,14 @@ class TestLogLikelihood:
         free = log_likelihood(ds, 0.4)
         full = log_likelihood(ds, 0.4, include_constant=True)
         assert full == pytest.approx(free - 3.1, rel=1e-12)
+
+    def test_full_form_sums_points_left_to_right(self):
+        ds = sample(300, 0.2, 8)
+        xy_sum = 0.0
+        for o in ds.observations:
+            xy_sum += o.x + o.y
+        full = log_likelihood(ds, 0.4, include_constant=True)
+        assert full == log_likelihood(ds, 0.4) - xy_sum
 
     def test_minus_inf_sentinel_at_matched_boundary(self):
         # weight exactly +1 (origin) against theta = -1 zeroes the density

@@ -1,0 +1,174 @@
+"""The bulk ``read_csv`` parse against the ``csv.reader`` parse.
+
+``model._parse_plain`` reads files that need none of the csv module's
+rules and declines (returns None) everything else, which
+``model._parse_csv`` then reads row by row.  Whenever the bulk parse
+accepts a file, both must give bit-identical columns; and ``read_csv``
+as a whole must behave exactly like the row-by-row reader it replaced,
+kept below as the oracle.
+"""
+
+import csv
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fgmexp import model
+from fgmexp.model import DataFormatError, Dataset, Observation, read_csv
+
+
+def oracle_read_csv(path) -> Dataset:
+    """The row-by-row reader ``read_csv`` used before the bulk parse."""
+    observations = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [cell.strip() for cell in header] != ["x", "y"]:
+            raise DataFormatError(1, "expected header 'x,y'")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise DataFormatError(line_no, f"expected 2 fields, got {len(row)}")
+            try:
+                x, y = float(row[0]), float(row[1])
+            except ValueError:
+                raise DataFormatError(line_no, f"non-numeric value in {row!r}") from None
+            try:
+                observations.append(Observation(x, y))
+            except ValueError as exc:
+                raise DataFormatError(line_no, str(exc)) from None
+    return Dataset(tuple(observations))
+
+
+def outcome(parse, arg):
+    """What a parser did: the exact bits of its columns, or its error."""
+    try:
+        data = parse(arg)
+    except DataFormatError as exc:
+        return ("DataFormatError", str(exc), exc.line_no)
+    except csv.Error as exc:  # NUL bytes under CPython 3.10
+        return ("csv.Error", str(exc))
+    return ("data", data.x.tobytes(), data.y.tobytes())
+
+
+def check_file(path, text: str) -> bool:
+    """Assert both parses agree on ``text``; True when the bulk one took it."""
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(read_csv, path) == outcome(oracle_read_csv, path)
+    fast = model._parse_plain(text)
+    if fast is None:
+        return False
+    assert ("data", fast.x.tobytes(), fast.y.tobytes()) == outcome(model._parse_csv, text)
+    return True
+
+
+# (file text, whether the bulk parse should take it)
+CASES = {
+    "lf": ("x,y\n1.5,2.0\n0.25,3\n", True),
+    "crlf": ("x,y\r\n1.5,2.0\r\n0.25,3\r\n", True),
+    "no trailing newline": ("x,y\n1.5,2.0\n0.25,3", True),
+    "crlf no trailing newline": ("x,y\r\n1.5,2.0\r\n0.25,3", True),
+    "blank lines": ("x,y\n\n1.5,2.0\n\n\n0.25,3\n\n", True),
+    "crlf blank lines": ("x,y\r\n\r\n1.5,2.0\r\n\r\n", True),
+    "whitespace around values": ("x,y\n 1.5 , 2.0\t\n", True),
+    "spaced header": (" x , y\n1.0,2.0\n", True),
+    "negative zero": ("x,y\n-0.0,0.0\n0.0,-0.0\n", True),
+    "underscore literal": ("x,y\n1_0,2\n", True),
+    "exponents": ("x,y\n1e-300,2.5E+2\n", True),
+    "header only": ("x,y\n", True),
+    "header only no newline": ("x,y", True),
+    "mixed lf and crlf": ("x,y\r\n1,2\n3,4\r\n", True),
+    "empty file": ("", False),
+    "blank first line": ("\nx,y\n1,2\n", False),
+    "bad header": ("a,b\n1,2\n", False),
+    "quoted header": ('"x","y"\n1,2\n', False),
+    "quoted values": ('x,y\n"1.5","2"\n', False),
+    "quote inside a field": ('x,y\n1"5,2\n', False),
+    "quoted newline": ('x,y\n"1\n",2\n', False),
+    "lone carriage return endings": ("x,y\r1,2\r3,4\r", False),
+    "lone carriage return in a row": ("x,y\n1,2\r3,4\n", False),
+    "carriage return before crlf": ("x,y\n1,2\r\r\n", False),
+    "nan": ("x,y\nnan,1\n", False),
+    "inf": ("x,y\n1,inf\n", False),
+    "overflow to inf": ("x,y\n1e400,1\n", False),
+    "negative": ("x,y\n1,2\n-1,2\n", False),
+    "one field": ("x,y\n1,2\n3\n", False),
+    "three fields": ("x,y\n1,2,3\n", False),
+    "trailing comma": ("x,y\n1,2,\n", False),
+    "empty fields": ("x,y\n,\n", False),
+    "whitespace-only row": ("x,y\n1,2\n  \n", False),
+    "non-numeric": ("x,y\n1,2\nbogus,3\n", False),
+    "nul in a value": ("x,y\n1\x00,2\n", False),
+    "nul row": ("x,y\n\x00\n", False),
+    "nul in header": ("x,y\x00\n1,2\n", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_bulk_parse_matches_csv_reader(tmp_path, name):
+    text, takes_bulk_path = CASES[name]
+    assert check_file(tmp_path / "data.csv", text) is takes_bulk_path
+
+
+def test_written_files_take_the_bulk_path(tmp_path):
+    data = model.sample(500, 0.4, 3)
+    path = tmp_path / "data.csv"
+    model.write_csv(path, data)
+    text = path.read_bytes().decode("utf-8")
+    assert check_file(path, text)
+    assert model._parse_plain(text) == data
+
+
+VALID = ["1.5", " 2 ", "0", "-0.0", "7e-3", "1_0", "4.25\t", "0.1"]
+INVALID = ["1e400", "nan", "inf", "-1", "", "abc", '"3"', "\x00"]
+HEADERS = ["x,y", " x , y", "x, y", "X,Y", "x", "x,y,z", '"x",y', ""]
+
+
+@st.composite
+def csv_texts(draw, headers, cells, arity, endings):
+    """A header, rows of ``arity`` cells or blank, and line endings, all
+    drawn from the given choices; a trailing line ending or none."""
+    row = st.one_of(st.lists(st.sampled_from(cells), min_size=arity[0], max_size=arity[1]),
+                    st.just([]))
+    ending = st.sampled_from(endings)
+    parts = [draw(st.sampled_from(headers))]
+    for r in draw(st.lists(row, max_size=8)):
+        parts.append(draw(ending))
+        parts.append(",".join(r))
+    if draw(st.booleans()):
+        parts.append(draw(ending))
+    return "".join(parts)
+
+
+# files the bulk parse takes, and files of every kind
+plain_texts = csv_texts(["x,y", " x , y", "x, y"], VALID, (2, 2), ["\n", "\r\n"])
+any_texts = csv_texts(HEADERS, VALID + INVALID, (1, 3), ["\n", "\r\n", "\r"])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(plain_texts, any_texts))
+def test_bulk_parse_matches_csv_reader_on_generated_files(tmp_path, text):
+    check_file(tmp_path / "data.csv", text)
+
+
+@given(text=plain_texts)
+def test_bulk_parse_takes_plain_files(text):
+    assert model._parse_plain(text) is not None
+
+
+@pytest.mark.parametrize("raw,line_no", [
+    (b"\xff\xfe", 1),
+    (b"x,y\n1.0,2.0\n\xff,3.0\n", 3),
+    (b"x,y\r\n1.0,2.0\r\n3.0,\xfe\r\n", 3),
+    (b"x,y\r1.0,2.0\r\xff\r", 3),
+])
+def test_undecodable_byte_is_a_data_format_error(tmp_path, raw, line_no):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    with pytest.raises(DataFormatError) as err:
+        read_csv(path)
+    assert err.value.line_no == line_no
+    assert str(err.value).startswith(f"line {line_no}: cannot decode byte 0x")
