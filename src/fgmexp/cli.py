@@ -125,17 +125,18 @@ def _trial_checks(c: list[Fraction]) -> list[dict]:
                 "detail": f"formula {md_formula} != algebraic {md_algebraic}",
             }
         )
-    h = polynomials.build_h(c)
-    k = polynomials.build_k(c)
-    g = polynomials.gcd(h, k)
+    # h = k' has degree exactly n - 1, so the algebraic count
+    # n - 1 - deg gcd(h, k) gives the gcd degree without a second gcd
+    gcd_degree = len(c) - 1 - md_algebraic
     has_repeat = any(mult >= 2 for _, mult in prof.groups)
-    if (g.degree >= 1) != has_repeat:
+    if (gcd_degree >= 1) != has_repeat:
         failures.append(
             {
                 "check": "common-zero-iff-repeat",
-                "detail": f"gcd degree {g.degree} vs repeats {has_repeat}",
+                "detail": f"gcd degree {gcd_degree} vs repeats {has_repeat}",
             }
         )
+    h = polynomials.build_h(c) if has_repeat else None
     for v, mult in prof.groups:
         if mult >= 2:
             observed = polynomials.root_multiplicity(h, -v)
@@ -218,14 +219,19 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_fit(args) -> int:
+def _load(path) -> model.Dataset | None:
+    """The dataset at ``path``, or None after reporting why not to stderr."""
     try:
-        data = model.read_csv(args.in_path)
+        return model.read_csv(path)
     except model.DataFormatError as exc:
-        print(f"error: {args.in_path}: {exc}", file=sys.stderr)
-        return 2
+        print(f"error: {path}: {exc}", file=sys.stderr)
     except OSError as exc:
-        print(f"error: cannot read {args.in_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_fit(args) -> int:
+    if (data := _load(args.in_path)) is None:
         return 2
     try:
         result = mle.fit(data)
@@ -245,13 +251,7 @@ def cmd_mldegree(args) -> int:
             return 2
         mode = "exact"
     else:
-        try:
-            data = model.read_csv(args.in_path)
-        except model.DataFormatError as exc:
-            print(f"error: {args.in_path}: {exc}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"error: cannot read {args.in_path}: {exc}", file=sys.stderr)
+        if (data := _load(args.in_path)) is None:
             return 2
         shift = model.c_shift(data)
         if shift.values.size == 0:

@@ -180,26 +180,25 @@ def ml_degree_algebraic(c: Sequence) -> int:
     prof = profile(c, policy="exact")
     if prof.p == 1 and prof.n >= 2:
         raise AllEqualError(prof.groups[0][0], prof.n)
-    values = [Fraction(v) for v in c]
-    h = polynomials.build_h(values)
-    k = polynomials.build_k(values)
-    g = polynomials.gcd(h, k)
-    return int(h.degree - g.degree)
+    k = polynomials.build_k([Fraction(v) for v in c])
+    h = k.derivative()
+    return int(h.degree - polynomials.gcd(h, k).degree)
 
 
 def _serialize_value(v):
     return str(v) if isinstance(v, Fraction) else float(v)
 
 
-def ml_degree_report(c: Sequence, policy: str | None = None) -> dict:
+def ml_degree_report(c: Sequence) -> dict:
     """JSON-ready ML-degree report for a list of shift values.
 
-    Exact mode carries the algebraic cross-check; approximate mode
-    carries a caveat, because grouping float values is tolerance
-    dependent and generic continuous data has no repeats at all.
+    The scalar types pick the mode, as in :func:`profile`.  Exact mode
+    carries the algebraic cross-check; approximate mode carries a
+    caveat, because grouping float values is tolerance dependent and
+    generic continuous data has no repeats at all.
     Raises :class:`AllEqualError` for the excluded all-equal case.
     """
-    prof = profile(c, policy)
+    prof = profile(c)
     md = ml_degree_formula(prof)
     cz = common_zeros(prof)
     doc = {

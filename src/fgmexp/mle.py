@@ -24,12 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import mldegree, roots
+from . import mldegree, model, roots
 from .model import Dataset, log_likelihood, log_likelihood_weights, validate_theta
 
 __all__ = ["FitResult", "NoDataError", "fit", "fit_from_weights", "profile_loglik"]
-
-BOUNDARY_OFFSET = 1e-12
 
 
 class NoDataError(ValueError):
@@ -66,17 +64,18 @@ class FitResult:
 
 
 def _boundary_loglik(w: np.ndarray, side: float) -> float:
-    """Constant-free log-likelihood at an endpoint, nudged one-sided by
-    1e-12 when a weight of exactly -side makes the endpoint a pole."""
-    theta = side
-    if np.any(1.0 + theta * w == 0.0):
-        theta = side - side * BOUNDARY_OFFSET
-    return log_likelihood_weights(w, theta)
+    """Constant-free log-likelihood at an endpoint, moved inward by
+    :func:`fgmexp.model.endpoint` when that endpoint is a pole."""
+    return log_likelihood_weights(w, model.endpoint(w, side))
 
 
 def fit_from_weights(weights: Sequence[float]) -> FitResult:
-    """Fit from a weight vector; see :func:`fit` for the contract."""
-    w_all = np.asarray(weights, dtype=float)
+    """Fit from a weight vector; see :func:`fit` for the contract.
+
+    Raises ValueError for a weight that is not finite or lies outside
+    [-1, 1], where the model's likelihood is not defined.
+    """
+    w_all = model.validate_weights(weights)
     eff = w_all[w_all != 0.0]
     dropped = int(w_all.size - eff.size)
     n_eff = int(eff.size)

@@ -32,6 +32,8 @@ __all__ = [
     "PoleError",
     "DataFormatError",
     "validate_theta",
+    "validate_weights",
+    "endpoint",
     "density",
     "log_likelihood",
     "log_likelihood_weights",
@@ -45,6 +47,8 @@ __all__ = [
 
 THETA_MIN = -1.0
 THETA_MAX = 1.0
+
+ENDPOINT_OFFSET = 1e-12  # inward move of an endpoint that is a pole
 
 # Below this magnitude the conditional quantile is evaluated at its
 # exact limit to sidestep the degenerate quadratic.
@@ -76,6 +80,24 @@ def validate_theta(theta: float) -> float:
     if not math.isfinite(t) or not (THETA_MIN <= t <= THETA_MAX):
         raise ValueError(f"association parameter must lie in [-1, 1], got {theta!r}")
     return t
+
+
+def validate_weights(weights) -> np.ndarray:
+    """Weights as a float64 array; ValueError unless every weight is
+    finite and lies in [-1, 1], the range the model gives them."""
+    w = np.asarray(weights, dtype=float)
+    if not (np.abs(w) <= 1.0).all():
+        raise ValueError("weights must be finite and lie in [-1, 1]")
+    return w
+
+
+def endpoint(weights: np.ndarray, side: float) -> float:
+    """The endpoint ``side`` (+-1) of the parameter interval, moved
+    :data:`ENDPOINT_OFFSET` inward when a weight of exactly -side makes
+    1 + side*w vanish there."""
+    if np.any(1.0 + side * weights == 0.0):
+        return side - side * ENDPOINT_OFFSET
+    return side
 
 
 @dataclass(frozen=True)
@@ -190,18 +212,14 @@ def density(obs: Observation, theta: float) -> float:
     return math.exp(-(obs.x + obs.y)) * (1.0 + t * obs.weight)
 
 
-def log_likelihood_weights(
-    weights: np.ndarray, theta: float, include_constant: bool = False, xy_sum: float = 0.0
-) -> float:
-    """Log-likelihood from a weight vector; -inf where any term is <= 0."""
+def log_likelihood_weights(weights: np.ndarray, theta: float) -> float:
+    """Constant-free log-likelihood from a weight vector; -inf where any
+    term is <= 0."""
     t = validate_theta(theta)
     terms = 1.0 + t * np.asarray(weights, dtype=float)
     if np.any(terms <= 0.0):
         return float("-inf")
-    ll = float(np.sum(np.log(terms)))
-    if include_constant:
-        ll -= xy_sum
-    return ll
+    return float(np.sum(np.log(terms)))
 
 
 def log_likelihood(data: Dataset, theta: float, include_constant: bool = False) -> float:
@@ -213,11 +231,11 @@ def log_likelihood(data: Dataset, theta: float, include_constant: bool = False) 
     term 1 + theta*w_i is nonpositive (a weight of +-1 against the
     matching boundary value of theta).
     """
-    xy_sum = 0.0
+    ll = log_likelihood_weights(data.weights, theta)
     if include_constant:
         # left-to-right, as the per-point sum always was
-        xy_sum = float(sum((data.x + data.y).tolist()))
-    return log_likelihood_weights(data.weights, theta, include_constant, xy_sum)
+        ll -= float(sum((data.x + data.y).tolist()))
+    return ll
 
 
 def score_weights(weights: np.ndarray, theta: float) -> float:
@@ -291,7 +309,9 @@ def read_csv(path) -> Dataset:
 
     Any malformed row (wrong arity, non-numeric, negative, or non-finite
     value) aborts with a :class:`DataFormatError` carrying the 1-based
-    line number; so does a byte the locale's text encoding cannot decode.
+    line number; so does a row ``csv.reader`` rejects, such as one with a
+    field over its size limit, and a byte the locale's text encoding
+    cannot decode.
     Blank rows are skipped.
     """
     text = _read_text(path)
@@ -346,7 +366,7 @@ def _parse_csv(text: str) -> Dataset:
     """Row-by-row parse with ``csv.reader``; the source of every
     line-numbered :class:`DataFormatError`."""
     observations = []
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = _csv_rows(text)
     header = next(reader, None)
     if header is None or [cell.strip() for cell in header] != ["x", "y"]:
         raise DataFormatError(1, "expected header 'x,y'")
@@ -364,6 +384,17 @@ def _parse_csv(text: str) -> Dataset:
         except ValueError as exc:
             raise DataFormatError(line_no, str(exc)) from None
     return Dataset(tuple(observations))
+
+
+def _csv_rows(text: str):
+    """The rows of ``csv.reader``; an error it raises (a field over its
+    size limit, or a NUL byte before CPython 3.11) becomes a
+    :class:`DataFormatError` at the physical line where it stopped."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataFormatError(reader.line_num, str(exc)) from None
 
 
 def write_csv(path, data: Dataset) -> None:

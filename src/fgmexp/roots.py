@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, score_weights
+from .model import Dataset, endpoint, score_weights, validate_weights
 from .polynomials import FLOAT, Poly, ScalarModeError
 
 __all__ = [
@@ -34,7 +34,6 @@ CLUSTER_RADIUS = 1e-7     # times max(1, largest root magnitude)
 RESIDUAL_TOL = 1e-8       # relative backward error bound per root
 SCORE_TOL = 1e-12         # |score| considered converged
 WIDTH_TOL = 1e-14         # bracket width considered converged
-ENDPOINT_OFFSET = 1e-12   # one-sided shift when an endpoint is a pole
 MAX_ITER = 200
 
 
@@ -136,18 +135,15 @@ def score_root_from_weights(w: np.ndarray) -> float | None:
     a sign change between the endpoints brackets exactly one root; the
     bracket is then shrunk by bisection with Newton steps accepted only
     when they stay strictly inside it.  Endpoints that are poles (a
-    weight of exactly +-1) are evaluated with a one-sided 1e-12 offset.
+    weight of exactly +-1) are moved inward by :func:`fgmexp.model.endpoint`.
     No sign change means the maximum sits on the boundary and None is
-    returned.
+    returned.  Raises ValueError for a weight that is not finite or lies
+    outside [-1, 1].
     """
-    w = np.asarray(w, dtype=float)
+    w = validate_weights(w)
     if w.size == 0 or not np.any(w != 0.0):
         raise ValueError("score root needs at least one nonzero weight")
-    lo, hi = -1.0, 1.0
-    if np.any(1.0 + lo * w == 0.0):
-        lo = -1.0 + ENDPOINT_OFFSET
-    if np.any(1.0 + hi * w == 0.0):
-        hi = 1.0 - ENDPOINT_OFFSET
+    lo, hi = endpoint(w, -1.0), endpoint(w, 1.0)
     f_lo = score_weights(w, lo)
     f_hi = score_weights(w, hi)
     if not (f_lo > 0.0 and f_hi < 0.0):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from fgmexp import mldegree, polynomials
 from fgmexp.cli import main, run_campaign
 
 
@@ -106,6 +107,32 @@ def test_undecodable_bytes_exit_2_with_line_number(tmp_path, capsys, sub):
     assert "line 3: cannot decode byte 0xff" in captured.err
 
 
+@pytest.mark.parametrize("sub", ["fit", "mldegree"])
+def test_field_over_the_csv_size_limit_exit_2_with_line_number(tmp_path, capsys, sub):
+    path = tmp_path / "long.csv"
+    path.write_text("x,y\n0.5,0.25\n" + "1" * 200000 + ",0.5\n")
+    assert main([sub, "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 3: field larger than field limit" in captured.err
+
+
+# digests of the compact JSON on stdout, taken before the campaign reused
+# the algebraic route's gcd instead of computing its own
+@pytest.mark.parametrize("argv,digest", [
+    (["verify", "--seed", "7"],
+     "c272d1643d219448aac8feccf5823c275898a5ff267343ff8ced10f9621ce253"),
+    (["verify", "--n-max", "12", "--pattern", "2,2", "--pattern", "3", "--pattern", "n"],
+     "4f81b00958a6ae02dfc274dfa23b8291e030a2cd560ed13e4f03ae27e486e7c0"),
+    (["mldegree", "--c", "1", "1", "2", "-9/12", "5"],
+     "04804f95f54e1fca93795df8a14ebb511091e8295a30c3d62009a6159d5ef328"),
+])
+def test_output_matches_golden_hash(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestMlDegree:
     def test_worked_example(self, capsys):
         code, doc = run_cli(capsys, "mldegree", "--c", "1", "1", "2")
@@ -189,6 +216,27 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--trials", "1", "--n-max", "1"])
         assert err.value.code == 2
+
+    def test_wrong_algebraic_count_fails_both_checks_that_use_it(self, monkeypatch):
+        # n - 1 is the count of a multiset without repeats, so both the
+        # formula cross-check and the common-zero biconditional must fail
+        monkeypatch.setattr(mldegree, "ml_degree_algebraic", lambda c: len(c) - 1)
+        campaign = run_campaign(5, 8, 3, patterns=[(2, 2)])
+        assert campaign.checks_run == 5
+        checks = [(f["trial"], f["check"]) for f in campaign.failures]
+        assert checks == [
+            (t, check) for t in range(5)
+            for check in ("common-zero-iff-repeat", "ml-degree-formula-vs-algebraic")
+        ]
+
+    def test_one_gcd_per_checked_trial(self, monkeypatch):
+        calls = []
+        real_gcd = polynomials.gcd
+        monkeypatch.setattr(polynomials, "gcd", lambda a, b: calls.append(1) or real_gcd(a, b))
+        campaign = run_campaign(40, 9, 5)
+        assert campaign.passed
+        assert campaign.checks_run > 0
+        assert len(calls) == campaign.checks_run
 
     def test_campaign_api_records_failures_sorted(self):
         campaign = run_campaign(30, 6, 123)

@@ -111,6 +111,13 @@ class TestFitBoundary:
                 assert res.loglik >= log_likelihood_weights(w, t) - 1e-12
 
 
+@pytest.mark.parametrize("w", [[1.5, -0.9], [float("nan"), 0.5], [0.2, -float("inf")], [-1.0000001]])
+def test_weight_outside_the_model_range_is_rejected(w):
+    # [1.5, -0.9] used to fit theta = 1 with loglik -1.386 below loglik(0) = 0
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        fit_from_weights(w)
+
+
 class TestEquivariance:
     def test_exact_sign_flip_simulated(self):
         rng = np.random.default_rng(79)

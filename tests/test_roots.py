@@ -153,6 +153,12 @@ class TestScoreRoot:
         if r is not None:
             assert -1.0 < r < 1.0
 
+    @pytest.mark.parametrize("w", [[float("nan"), 0.5], [1.5, -0.9], [0.2, float("inf")]])
+    def test_weight_outside_the_model_range_is_rejected(self, w):
+        # [nan, 0.5] used to return None, as if the maximum sat on the boundary
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            score_root_from_weights(np.array(w))
+
     def test_requires_a_nonzero_weight(self):
         with pytest.raises(ValueError):
             score_root_from_weights(np.array([0.0, 0.0]))
