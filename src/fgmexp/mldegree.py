@@ -123,7 +123,7 @@ def profile(c: Sequence, policy: str | None = None) -> MultiplicityProfile:
         counts: dict[Fraction, int] = {}
         for v in exact_values:
             counts[v] = counts.get(v, 0) + 1
-        groups = tuple((v, mult) for v, mult in counts.items())
+        groups = tuple(counts.items())
         return MultiplicityProfile(len(values), groups, "exact")
     if policy != "approx":
         raise ValueError(f"unknown equality policy {policy!r}")
@@ -175,12 +175,17 @@ def ml_degree_algebraic(c: Sequence) -> int:
     """Independent algebraic route: deg h - deg gcd(h, k) over exact rationals.
 
     Must agree with :func:`ml_degree_formula` on every input; the pair of
-    routes is the correctness oracle for both.
+    routes is the correctness oracle for both.  Raises the errors of the
+    exact :func:`profile`: ScalarModeError for a value that is not
+    rational, ValueError for no values or a zero value, and
+    :class:`AllEqualError` when every value is equal.
     """
-    prof = profile(c, policy="exact")
-    if prof.p == 1 and prof.n >= 2:
-        raise AllEqualError(prof.groups[0][0], prof.n)
-    k = polynomials.build_k([Fraction(v) for v in c])
+    values = list(c)
+    if polynomials.scalar_kind(values) != polynomials.RATIONAL:
+        raise ScalarModeError("exact policy requires rational (Fraction/int) values")
+    k = polynomials.build_k(values)  # rejects no values and zero values
+    if len(values) >= 2 and all(v == values[0] for v in values):
+        raise AllEqualError(Fraction(values[0]), len(values))
     h = k.derivative()
     return int(h.degree - polynomials.gcd(h, k).degree)
 

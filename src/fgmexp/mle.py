@@ -73,9 +73,10 @@ def fit_from_weights(weights: Sequence[float]) -> FitResult:
     """Fit from a weight vector; see :func:`fit` for the contract.
 
     Raises ValueError for a weight that is not finite or lies outside
-    [-1, 1], where the model's likelihood is not defined.
+    [-1, 1], where the model's likelihood is not defined; the root
+    search, which runs on every vector with a nonzero weight, checks it.
     """
-    w_all = model.validate_weights(weights)
+    w_all = np.asarray(weights, dtype=float)
     eff = w_all[w_all != 0.0]
     dropped = int(w_all.size - eff.size)
     n_eff = int(eff.size)
@@ -84,8 +85,19 @@ def fit_from_weights(weights: Sequence[float]) -> FitResult:
             "all observations have zero weight; the likelihood is flat in "
             "theta and no MLE exists"
         )
-    c = 1.0 / eff
-    prof = mldegree.profile(c, policy="approx")
+    root = roots.score_root_from_weights(eff)
+    if root is not None:
+        return FitResult(
+            theta_hat=root,
+            loglik=log_likelihood_weights(eff, root),
+            at_boundary=False,
+            interior_root=root,
+            n_effective=n_eff,
+            dropped=dropped,
+        )
+    # no interior root; equal shifts share one sign, so their score never
+    # changes sign, and they always land here
+    prof = mldegree.profile(1.0 / eff, policy="approx")
     if prof.p == 1:
         # monotone likelihood: boundary by the sign of the common value
         theta = 1.0 if prof.groups[0][0] > 0.0 else -1.0
@@ -94,16 +106,6 @@ def fit_from_weights(weights: Sequence[float]) -> FitResult:
             loglik=_boundary_loglik(eff, theta),
             at_boundary=True,
             interior_root=None,
-            n_effective=n_eff,
-            dropped=dropped,
-        )
-    root = roots.score_root_from_weights(eff)
-    if root is not None:
-        return FitResult(
-            theta_hat=root,
-            loglik=log_likelihood_weights(eff, root),
-            at_boundary=False,
-            interior_root=root,
             n_effective=n_eff,
             dropped=dropped,
         )

@@ -366,11 +366,11 @@ def _parse_csv(text: str) -> Dataset:
     """Row-by-row parse with ``csv.reader``; the source of every
     line-numbered :class:`DataFormatError`."""
     observations = []
-    reader = _csv_rows(text)
-    header = next(reader, None)
+    rows = _csv_rows(text)
+    _, header = next(rows, (1, None))
     if header is None or [cell.strip() for cell in header] != ["x", "y"]:
         raise DataFormatError(1, "expected header 'x,y'")
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in rows:
         if not row:
             continue
         if len(row) != 2:
@@ -387,12 +387,14 @@ def _parse_csv(text: str) -> Dataset:
 
 
 def _csv_rows(text: str):
-    """The rows of ``csv.reader``; an error it raises (a field over its
-    size limit, or a NUL byte before CPython 3.11) becomes a
-    :class:`DataFormatError` at the physical line where it stopped."""
+    """The rows of ``csv.reader``, each with the physical line it ends on
+    (a quoted field may hold line breaks); an error it raises (a field
+    over its size limit, or a NUL byte before CPython 3.11) becomes a
+    :class:`DataFormatError` at the line where it stopped."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise DataFormatError(reader.line_num, str(exc)) from None
 

@@ -14,6 +14,18 @@ Two scalar kinds are supported and never mixed silently:
   multiplicity counting).
 * ``"float"`` -- double precision; used for measured data, where only
   evaluation and numerical root finding are meaningful.
+
+The exact operations work on integers.  :func:`gcd` clears both inputs
+to primitive integer polynomials and computes their gcd modulo a fixed
+sequence of 61-bit primes (Brown's multi-prime algorithm), combining the
+monic images by Chinese remaindering and rational reconstruction.  The
+result is exact, not probable: a prime that divides neither leading
+coefficient gives an image whose degree bounds the degree of the true
+gcd from above, and a candidate of that degree is returned only after it
+divides both inputs exactly over the integers, which makes it a common
+divisor of the largest possible degree.  :func:`build_k` multiplies the
+integer factors (d_i theta + n_i) of the shifts n_i/d_i and divides once
+at the end; :func:`root_multiplicity` deflates by synthetic division.
 """
 
 from __future__ import annotations
@@ -49,10 +61,11 @@ class ScalarModeError(TypeError):
     """An operation received scalars of the wrong or mixed kind."""
 
 
-def _coerce(values: Iterable, kind: str) -> tuple:
+def _coerce(values: Iterable, kind: str) -> list:
     if kind == RATIONAL:
-        return tuple(Fraction(v) for v in values)
-    return tuple(float(v) for v in values)
+        # a Fraction is immutable and already in lowest terms
+        return [v if type(v) is Fraction else Fraction(v) for v in values]
+    return [float(v) for v in values]
 
 
 def scalar_kind(values: Sequence) -> str | None:
@@ -84,7 +97,7 @@ class Poly:
     def __post_init__(self):
         if self.kind not in (RATIONAL, FLOAT):
             raise ValueError(f"unknown scalar kind {self.kind!r}")
-        cs = list(_coerce(self.coeffs, self.kind))
+        cs = _coerce(self.coeffs, self.kind)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -132,13 +145,13 @@ class Poly:
 
     def derivative(self) -> "Poly":
         """Formal derivative; drops the degree by one for non-constants."""
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0), self.kind)
+        return Poly([i * c for i, c in enumerate(self.coeffs) if i > 0], self.kind)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ValueError("the zero polynomial has no monic form")
         lead = self.coeffs[-1]
-        return Poly(tuple(c / lead for c in self.coeffs), self.kind)
+        return Poly([c / lead for c in self.coeffs], self.kind)
 
     def to_float(self) -> "Poly":
         return Poly(tuple(float(c) for c in self.coeffs), FLOAT)
@@ -160,7 +173,7 @@ class Poly:
         return cls(tuple(float(c) for c in doc["coeffs"]), FLOAT)
 
 
-def _check_cvalues(c: Sequence) -> tuple[tuple, str]:
+def _check_cvalues(c: Sequence) -> tuple[list, str]:
     values = list(c)
     if len(values) == 0:
         raise ValueError("need at least one shift value")
@@ -184,19 +197,28 @@ def build_k(c: Sequence) -> Poly:
 
     Coefficients are the elementary symmetric functions of the shifts,
     accumulated by repeated multiplication with one linear factor, so the
-    result is invariant under permutation of ``c``.
+    result is invariant under permutation of ``c``.  Each factor is
+    taken as a pair (a_i theta + b_i): a rational shift n_i/d_i as the
+    integer factor (d_i theta + n_i), the product then divided by the
+    product of the d_i once at the end; a float shift as (1.0 theta + c_i),
+    whose products by 1.0 are exact.
     """
     values, kind = _check_cvalues(c)
-    one = Fraction(1) if kind == RATIONAL else 1.0
-    coeffs = [one]
-    for ci in values:
-        # multiply by (theta + ci): new[j] = old[j-1] + ci*old[j]
-        nxt = [ci * coeffs[0]]
-        for j in range(1, len(coeffs)):
-            nxt.append(coeffs[j - 1] + ci * coeffs[j])
-        nxt.append(coeffs[-1])
-        coeffs = nxt
-    return Poly(tuple(coeffs), kind)
+    if kind == RATIONAL:
+        pairs = [(v.denominator, v.numerator) for v in values]
+        coeffs = [1]
+    else:
+        pairs = [(1.0, v) for v in values]
+        coeffs = [1.0]
+    for a, b in pairs:
+        # multiply by (a theta + b): new[j] = a*old[j-1] + b*old[j]
+        coeffs = [b * coeffs[0],
+                  *[a * lo + b * hi for lo, hi in zip(coeffs, coeffs[1:])],
+                  a * coeffs[-1]]
+    if kind == RATIONAL:
+        scale = math.prod(a for a, _ in pairs)
+        coeffs = [Fraction(x, scale) for x in coeffs]
+    return Poly(coeffs, kind)
 
 
 def build_h(c: Sequence) -> Poly:
@@ -230,8 +252,157 @@ def divmod_exact(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return Poly(tuple(quot), RATIONAL), Poly(tuple(rem[:db]), RATIONAL)
 
 
+# The 64 largest primes below 2**61 (2**61 - 1 is a Mersenne prime),
+# written as their distance below 2**61.  Residues modulo them stay below
+# 2**61 and products of two residues below 2**122.
+_PRIMES = tuple((1 << 61) - d for d in (
+    1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579, 675, 759, 799, 819,
+    829, 843, 859, 939, 985, 1015, 1153, 1195, 1215, 1281, 1299, 1351, 1371, 1425,
+    1489, 1525, 1533, 1543, 1609, 1621, 1669, 1741, 1753, 1813, 1845, 1849, 1855,
+    1863, 1869, 1909, 1921, 1923, 1945, 1959, 2023, 2083, 2115, 2133, 2185, 2371,
+    2373, 2383, 2385, 2401, 2539, 2551, 2595, 2605,
+))
+
+# Miller-Rabin with these bases decides primality for every n < 3.3e24.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The gcd's primes in their fixed order: the table, then every
+    smaller prime in turn, for inputs whose gcd needs more."""
+    yield from _PRIMES
+    n = _PRIMES[-1] - 2
+    while True:
+        if _is_prime(n):
+            yield n
+        n -= 2
+
+
+def _primitive(p: Poly) -> list[int]:
+    """The primitive integer multiple of a nonzero rational polynomial,
+    coefficients in descending degree."""
+    scale = math.lcm(*[c.denominator for c in p.coeffs])
+    ints = [c.numerator * (scale // c.denominator) for c in reversed(p.coeffs)]
+    content = math.gcd(*ints)
+    return [x // content for x in ints]
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over GF(p) of two polynomials reduced mod p, descending
+    coefficients with nonzero leading ones, by the Euclidean algorithm
+    with each remainder taken up to a unit factor."""
+    while b:
+        if len(a) == len(b) + 1 > 2:
+            # the usual step, one degree down: both eliminations in one
+            # pass, scaling by b[0] where a division would need an inverse
+            b0, a0 = b[0], a[0]
+            c0 = (b0 * a[1] - a0 * b[1]) % p
+            c1, c2 = b0 * a0 % p, b0 * b0 % p
+            a = [(c2 * x - c1 * y - c0 * z) % p for x, y, z in zip(a[2:], b[2:] + [0], b[1:])]
+        else:
+            inv = pow(b[0], -1, p)
+            while len(a) >= len(b):
+                q = a[0] * inv % p
+                a = [(x - q * y) % p for x, y in zip(a[1:], b[1:])] + a[len(b):]
+        while a and not a[0]:
+            del a[0]
+        a, b = b, a
+    inv = pow(a[0], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _rational_reconstruction(u: int, m: int, bound: int) -> tuple[int, int] | None:
+    """The fraction r/s with |r| <= bound and 0 < s <= bound that is
+    congruent to u mod m, or None (Wang's half-extended Euclid)."""
+    r0, r1, s0, s1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if not 0 < abs(s1) <= bound or math.gcd(r1, s1) != 1:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _lift(residues: list[int], m: int) -> list[int] | None:
+    """The primitive integer polynomial whose monic form is congruent to
+    ``residues`` mod m, by rational reconstruction of each coefficient,
+    or None when one has no reconstruction.
+
+    The denominators found so far multiply into ``den``, and a
+    coefficient that ``den`` already clears to a small integer needs no
+    Euclid.  Once m exceeds twice the square of the largest coefficient
+    of the true primitive gcd, every coefficient comes back right,
+    whichever way it is found.
+    """
+    bound = math.isqrt(m // 2)
+    den = 1
+    pairs = []
+    for u in residues:
+        v = u * den % m
+        if v > m // 2:
+            v -= m
+        if abs(v) > bound:
+            rs = _rational_reconstruction(v, m, bound)
+            if rs is None:
+                return None
+            v, s = rs
+            den *= s
+            if den > bound:
+                return None
+        pairs.append((v, den))
+    ints = [v * (den // d) for v, d in pairs]
+    content = math.gcd(*ints)
+    return [x // content for x in ints]
+
+
+def _divides(g: list[int], a: list[int]) -> bool:
+    """Whether ``g`` divides ``a`` exactly over the integers; descending
+    coefficients."""
+    a = list(a)
+    lead, tail = g[0], g[1:]
+    for i in range(len(a) - len(tail)):
+        q, r = divmod(a[i], lead)
+        if r:
+            return False
+        if q:
+            a[i + 1:i + len(g)] = [x - q * y for x, y in zip(a[i + 1:i + len(g)], tail)]
+    return not any(a[len(a) - len(tail):])
+
+
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor by the Euclidean algorithm.
+    """Monic greatest common divisor, by Brown's multi-prime algorithm.
+
+    Both inputs are cleared to primitive integer polynomials A and B.
+    For each prime in a fixed sequence of 61-bit primes that divides
+    neither leading coefficient, the gcd of the images mod p has degree
+    at least deg gcd(A, B): degree 0 proves the gcd is 1, a higher
+    degree than the lowest seen marks an unlucky prime, which is
+    dropped, and a lower one discards the images gathered so far.  The
+    monic images of the lowest degree are combined by Chinese
+    remaindering and rational reconstruction, and a candidate is
+    returned only when it divides A and B exactly over the integers; a
+    common divisor of the largest possible degree is the gcd.  The
+    result is exact and deterministic.
 
     Defined only for exact-rational polynomials; float polynomials have
     no meaningful gcd and are rejected.
@@ -240,27 +411,62 @@ def gcd(a: Poly, b: Poly) -> Poly:
         raise ScalarModeError("gcd is defined only for rational polynomials")
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        _, r = divmod_exact(a, b)
-        a, b = b, r
-    return a.monic()
+    if a.is_zero or b.is_zero:
+        return (b if a.is_zero else a).monic()
+    big, small = sorted((_primitive(a), _primitive(b)), key=len, reverse=True)
+    one = Poly((Fraction(1),), RATIONAL)
+    if len(small) == 1:
+        return one
+    size = None  # length of the lowest-degree images so far
+    for p in _primes():
+        if big[0] % p == 0 or small[0] % p == 0:
+            continue
+        image = _gcd_mod([x % p for x in big], [x % p for x in small], p)
+        if len(image) == 1:
+            return one
+        if size is not None and len(image) > size:
+            continue
+        if size is None or len(image) < size:
+            size, modulus, residues = len(image), 1, [0] * len(image)
+        # Chinese remaindering: the residues mod modulus*p that agree
+        # with the old residues mod modulus and with the image mod p
+        step = pow(modulus, -1, p)
+        residues = [r + modulus * ((x - r) * step % p) for r, x in zip(residues, image)]
+        modulus *= p
+        candidate = _lift(residues, modulus)
+        if candidate is not None and _divides(candidate, big) and _divides(candidate, small):
+            lead = candidate[0]
+            return Poly([Fraction(x, lead) for x in reversed(candidate)], RATIONAL)
 
 
 def root_multiplicity(p: Poly, r) -> int:
-    """Exact multiplicity of ``r`` as a root of ``p``, by repeated division.
+    """Exact multiplicity of ``r`` as a root of ``p``, by deflation.
 
-    Divides out the linear factor (theta - r) as long as the remainder is
-    exactly zero; rational arithmetic only, zero tolerance.
+    With r = s/t in lowest terms, ``r`` is a root exactly when the
+    primitive integer factor (t theta - s) divides the primitive integer
+    form of ``p`` (Gauss's lemma).  One pass of synthetic division gives
+    the quotient and the remainder, and stops early at a step that does
+    not divide exactly; each exact pass deflates ``p`` once.  Integer
+    arithmetic only, zero tolerance.
     """
     if p.kind != RATIONAL:
         raise ScalarModeError("exact multiplicity requires a rational polynomial")
     if p.is_zero:
         raise ValueError("every point is a root of the zero polynomial")
-    factor = Poly((-Fraction(r), Fraction(1)), RATIONAL)
+    r = Fraction(r)
+    s, t = r.numerator, r.denominator
+    coeffs = _primitive(p)
     count = 0
-    while not p.is_zero and p.eval(Fraction(r)) == 0:
-        p, rem = divmod_exact(p, factor)
-        assert rem.is_zero
+    while len(coeffs) > 1:
+        quotient, carry = [], 0
+        for x in coeffs[:-1]:
+            carry, rem = divmod(x + s * carry, t)
+            if rem:
+                return count
+            quotient.append(carry)
+        if coeffs[-1] + s * carry:
+            return count
+        coeffs = quotient
         count += 1
     return count
 

@@ -238,6 +238,16 @@ class TestVerify:
         assert campaign.checks_run > 0
         assert len(calls) == campaign.checks_run
 
+    def test_one_grouping_per_checked_trial(self, monkeypatch):
+        calls = []
+        real_profile = mldegree.profile
+        monkeypatch.setattr(mldegree, "profile",
+                            lambda *args, **kw: calls.append(1) or real_profile(*args, **kw))
+        campaign = run_campaign(40, 9, 5)
+        assert campaign.passed
+        assert campaign.checks_run > 0
+        assert len(calls) == campaign.checks_run
+
     def test_campaign_api_records_failures_sorted(self):
         campaign = run_campaign(30, 6, 123)
         assert campaign.passed

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -264,6 +265,33 @@ class TestMlDegreeAlgebraic:
     def test_all_equal_raises(self):
         with pytest.raises(AllEqualError):
             ml_degree_algebraic([F(2), F(2)])
+
+    @pytest.mark.parametrize("c", [
+        [], [F(0)], [F(0), F(0)], [F(1), F(0), F(1)], [F(3), F(3), F(3)], [2, 2],
+        np.array([4, 4]), [F(1), 2.0], [1.0, 2.0], np.array([1.0, 2.0]), ["a", "b"],
+    ], ids=repr)
+    def test_raises_what_the_exact_profile_raises(self, c):
+        with pytest.raises(Exception) as want:
+            ml_degree_formula(profile(c, policy="exact"))
+        with pytest.raises(Exception) as got:
+            ml_degree_algebraic(c)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        if isinstance(want.value, AllEqualError):
+            assert (got.value.value, got.value.n) == (want.value.value, want.value.n)
+
+    @pytest.mark.parametrize("pattern", [(), (2, 2), (3, 2, 2)])
+    def test_agrees_with_formula_at_n_200(self, pattern):
+        rng = random.Random(f"n=200 {pattern}")
+        distinct = set()
+        while len(distinct) < len(pattern) + 200 - sum(pattern):
+            distinct.add(F(rng.choice((1, -1)) * rng.randint(1, 20), rng.randint(1, 20)))
+        values = sorted(distinct)
+        rng.shuffle(values)
+        c = [v for v, mult in zip(values, pattern) for _ in range(mult)] + values[len(pattern):]
+        rng.shuffle(c)
+        assert len(c) == 200
+        assert ml_degree_algebraic(c) == ml_degree_formula(profile(c)) == 199 + len(pattern) - sum(pattern)
 
     @given(repeated_multisets())
     @settings(max_examples=80, deadline=None)

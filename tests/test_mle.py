@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fgmexp import model, roots
 from fgmexp.mle import FitResult, NoDataError, fit, fit_from_weights, profile_loglik
 from fgmexp.model import (
     Dataset,
@@ -111,11 +112,22 @@ class TestFitBoundary:
                 assert res.loglik >= log_likelihood_weights(w, t) - 1e-12
 
 
-@pytest.mark.parametrize("w", [[1.5, -0.9], [float("nan"), 0.5], [0.2, -float("inf")], [-1.0000001]])
+@pytest.mark.parametrize("w", [[1.5, -0.9], [float("nan"), 0.5], [0.2, -float("inf")], [-1.0000001],
+                               [1.5, 1.5, 0.0], [float("nan")] * 3])
 def test_weight_outside_the_model_range_is_rejected(w):
     # [1.5, -0.9] used to fit theta = 1 with loglik -1.386 below loglik(0) = 0
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
         fit_from_weights(w)
+
+
+@pytest.mark.parametrize("w", [[0.5, -0.5], [0.3, 0.3, 0.3], [0.9, 0.8], [-0.2, 0.0]])
+def test_weights_are_checked_once_per_fit(monkeypatch, w):
+    calls = []
+    real = model.validate_weights
+    for module in (model, roots):
+        monkeypatch.setattr(module, "validate_weights", lambda x: calls.append(1) or real(x))
+    fit_from_weights(w)
+    assert len(calls) == 1
 
 
 class TestEquivariance:

@@ -1,11 +1,16 @@
+import itertools
 import json
+import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fgmexp import polynomials
 from fgmexp.polynomials import (
     FLOAT,
     RATIONAL,
@@ -60,6 +65,35 @@ def c_lists(max_n):
     )
 
 
+def multiply(a, b):
+    out = [F(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Poly(tuple(out))
+
+
+def to_sympy(p, x):
+    return sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(p.coeffs))
+
+
+small_polys = st.lists(st.fractions(min_value=F(-30), max_value=F(30), max_denominator=9),
+                       min_size=1, max_size=5).map(lambda cs: Poly(tuple(cs))).filter(
+                           lambda p: not p.is_zero)
+
+
+@st.composite
+def common_and_cofactors(draw):
+    """Two rational polynomials sharing a built-in common factor, a
+    product of linear factors (theta + c_i), repeats allowed, and a small
+    polynomial, times a small cofactor each."""
+    common = draw(small_polys)
+    shifts = draw(st.lists(rationals, max_size=4))
+    if shifts:
+        common = multiply(build_k(shifts), common)
+    return tuple(multiply(common, draw(small_polys)) for _ in range(2))
+
+
 class TestPoly:
     def test_normalization_strips_trailing_zeros(self):
         p = Poly((F(1), F(2), F(0), F(0)))
@@ -109,7 +143,43 @@ class TestPoly:
         assert Poly.from_json_dict(doc) == p
 
 
+def loop_build_k(c, one):
+    """The expansion ``build_k`` used before its integer build: multiply
+    by (theta + c_i) one factor at a time, in the scalars of ``c``."""
+    coeffs = [one]
+    for ci in c:
+        nxt = [ci * coeffs[0]]
+        for j in range(1, len(coeffs)):
+            nxt.append(coeffs[j - 1] + ci * coeffs[j])
+        nxt.append(coeffs[-1])
+        coeffs = nxt
+    return coeffs
+
+
+def float_bits(values):
+    return struct.pack(f"{len(values)}d", *values)
+
+
 class TestBuildK:
+    @given(c_lists(20))
+    @settings(max_examples=80)
+    def test_rational_matches_the_factor_by_factor_loop(self, c):
+        assert build_k(c).coeffs == tuple(loop_build_k([F(v) for v in c], F(1)))
+
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+                    .filter(lambda v: v != 0.0), min_size=1, max_size=40))
+    @settings(max_examples=80)
+    def test_float_matches_the_factor_by_factor_loop_bit_for_bit(self, c):
+        k = build_k(c)
+        want = loop_build_k(c, 1.0)
+        assert float_bits(k.coeffs) == float_bits(want)
+
+    def test_float_sampled_shifts_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 17, 150, 400):
+            c = list(1.0 / rng.uniform(-1.0, 1.0, size=n))
+            assert float_bits(build_k(c).coeffs) == float_bits(loop_build_k(c, 1.0))
+
     def test_two_factors(self):
         k = build_k([F(2), F(-4)])
         assert k.coeffs == (F(-8), F(-2), F(1))
@@ -220,6 +290,69 @@ class TestGcd:
         with pytest.raises(ValueError):
             gcd(Poly(()), Poly(()))
 
+    @given(common_and_cofactors())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_monic_sympy_gcd(self, polys):
+        a, b = polys
+        x = sympy.Symbol("x")
+        want = sympy.Poly(sympy.gcd(to_sympy(a, x), to_sympy(b, x)), x).monic()
+        got = gcd(a, b)
+        assert got.coeffs == tuple(F(int(c.p), int(c.q)) for c in reversed(want.all_coeffs()))
+
+    def test_primes_are_the_largest_below_two_to_the_61(self):
+        primes = list(itertools.islice(polynomials._primes(), len(polynomials._PRIMES) + 8))
+        assert primes[0] == 2**61 - 1
+        assert all(sympy.isprime(q) for q in primes)
+        assert all(sympy.prevprime(hi) == lo for hi, lo in zip(primes, primes[1:]))
+
+    @pytest.mark.parametrize("unlucky", [(0, 1, 2), (1, 2), (3,)])
+    def test_unlucky_primes_are_dropped(self, unlucky):
+        # theta - 1 and theta - 1 - P coincide modulo every prime dividing
+        # P, where the images see a common factor of degree 2 although
+        # the true gcd, theta - 3**130, has degree 1; its 206-bit root
+        # takes about seven primes, so unlucky primes after lucky ones
+        # are met too
+        big = math.prod(polynomials._PRIMES[i] for i in unlucky)
+        a = build_k([F(-3**130), F(-1)])
+        b = build_k([F(-3**130), F(-1 - big)])
+        assert gcd(a, b).coeffs == (F(-3**130), F(1))
+
+    def test_prime_dividing_a_leading_coefficient_is_skipped(self):
+        # modulo p the factor (p theta + 1) drops to the constant 1, so the
+        # image of the gcd loses a degree; that prime must not set the
+        # degree bound, or no candidate would ever pass
+        p = polynomials._PRIMES[0]
+        shared = Poly((F(1), F(p)))  # p theta + 1
+        a = multiply(shared, build_k([F(-2), F(-3)]))
+        b = multiply(shared, build_k([F(-2), F(5)]))
+        assert gcd(a, b) == multiply(Poly((F(1, p), F(1))), Poly((F(-2), F(1))))
+
+    def test_gcd_needing_more_primes_than_the_table(self, monkeypatch):
+        # rational reconstruction needs a modulus above twice the square
+        # of the 4300-bit coefficient: about 140 primes, past the 64 of
+        # the table
+        used = []
+        real = polynomials._gcd_mod
+        monkeypatch.setattr(polynomials, "_gcd_mod", lambda a, b, p: used.append(p) or real(a, b, p))
+        g = build_k([F(10**1300, 7), F(3)])
+        a = multiply(g, build_k([F(1)]))
+        b = multiply(g, build_k([F(-1, 2)]))
+        assert gcd(a, b) == g
+        assert min(used) < polynomials._PRIMES[-1]
+
+    def test_exact_division_check_needs_a_zero_remainder(self):
+        # a leading coefficient of 1 divides every step; only the
+        # remainder tells theta + 1 from a divisor of theta^2 + 1
+        assert not polynomials._divides([1, 1], [1, 0, 1])
+        assert polynomials._divides([1, 1], [1, 0, -1])
+
+    def test_gcd_with_zero_is_the_monic_other(self):
+        p = Poly((F(4), F(2)))
+        assert gcd(p, Poly(())) == gcd(Poly(()), p) == Poly((F(2), F(1)))
+
+    def test_constant_input_gives_one(self):
+        assert gcd(Poly((F(3, 7),)), build_k([F(1), F(2)])) == Poly((F(1),))
+
     @given(c_lists(10))
     @settings(max_examples=60)
     def test_gcd_degree_counts_repeats(self, c):
@@ -243,6 +376,37 @@ class TestRootMultiplicity:
         h = build_h([F(3), F(3), F(3), F(7)])
         assert root_multiplicity(h, F(-3)) == 2
         assert root_multiplicity(h, F(-7)) == 0
+
+    def test_non_root_with_an_inexact_step(self):
+        # 3 theta^2 + theta at 1/3: the second division step, 2/3, is not
+        # exact although the last remainder under floor division is 0
+        assert root_multiplicity(Poly((F(0), F(1), F(3))), F(1, 3)) == 0
+        assert root_multiplicity(Poly((F(0), F(1), F(3))), F(-1, 3)) == 1
+
+    def test_constant_has_no_root(self):
+        assert root_multiplicity(Poly((F(-2, 3),)), F(1)) == 0
+
+    def test_rejects_zero_and_float_polynomials(self):
+        with pytest.raises(ValueError):
+            root_multiplicity(Poly(()), F(1))
+        with pytest.raises(ScalarModeError):
+            root_multiplicity(Poly((1.0, 1.0), FLOAT), F(-1))
+
+    @given(c_lists(12), rationals)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_repeated_exact_division(self, c, scale):
+        # h has the root -v once less often than v occurs in c; the scale
+        # gives p a leading coefficient and content other than 1
+        p = Poly(tuple(scale * x for x in build_h(c).coeffs))
+        for r in {-v for v in c} | {scale, F(0)}:
+            q, count = p, 0
+            factor = Poly((-r, F(1)))
+            while True:
+                quot, rem = divmod_exact(q, factor)
+                if not rem.is_zero:
+                    break
+                q, count = quot, count + 1
+            assert root_multiplicity(p, r) == count
 
 
 class TestParseRational:

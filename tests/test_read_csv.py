@@ -6,7 +6,10 @@ rules and declines (returns None) everything else, which
 accepts a file, both must give bit-identical columns; and ``read_csv``
 as a whole must behave exactly like the row-by-row reader it replaced,
 kept below as the oracle, except that it reports that reader's
-``csv.Error`` as a :class:`DataFormatError`.
+``csv.Error`` as a :class:`DataFormatError`.  The oracle numbers rows by
+the physical line they end on (``reader.line_num``), as ``read_csv``
+does; the reader it copies numbered them by record, one too low after a
+quoted field holding a line break.
 """
 
 import csv
@@ -20,14 +23,16 @@ from fgmexp.model import DataFormatError, Dataset, Observation, read_csv
 
 
 def oracle_read_csv(path) -> Dataset:
-    """The row-by-row reader ``read_csv`` used before the bulk parse."""
+    """The row-by-row reader ``read_csv`` used before the bulk parse, with
+    rows numbered by physical line."""
     observations = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [cell.strip() for cell in header] != ["x", "y"]:
             raise DataFormatError(1, "expected header 'x,y'")
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num
             if not row:
                 continue
             if len(row) != 2:
@@ -95,6 +100,8 @@ CASES = {
     "quoted values": ('x,y\n"1.5","2"\n', False),
     "quote inside a field": ('x,y\n1"5,2\n', False),
     "quoted newline": ('x,y\n"1\n",2\n', False),
+    "error after a quoted newline": ('x,y\n"1\n",2\nbogus,3\n', False),
+    "error in a row holding a quoted newline": ('x,y\n1,2\n"1\n",\n', False),
     "lone carriage return endings": ("x,y\r1,2\r3,4\r", False),
     "lone carriage return in a row": ("x,y\n1,2\r3,4\n", False),
     "carriage return before crlf": ("x,y\n1,2\r\r\n", False),
@@ -166,6 +173,20 @@ def test_bulk_parse_matches_csv_reader_on_generated_files(tmp_path, text):
 @given(text=plain_texts)
 def test_bulk_parse_takes_plain_files(text):
     assert model._parse_plain(text) is not None
+
+
+@pytest.mark.parametrize("text,line_no", [
+    ('x,y\n"1\n",2\nbogus,3\n', 4),
+    ('x,y\r\n"1\r\n\r\n",2\r\n-1,3\r\n', 5),
+    ('x,y\n1,2\n"1\n",\n', 4),
+    ('x,y\n"1\n",2\n' + "1" * 200000 + ",0.5\n", 4),
+], ids=["non-numeric", "negative after crlf", "empty field", "field over the csv size limit"])
+def test_rows_are_numbered_by_physical_line(tmp_path, text, line_no):
+    path = tmp_path / "data.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(DataFormatError) as err:
+        read_csv(path)
+    assert err.value.line_no == line_no
 
 
 @pytest.mark.parametrize("raw,line_no", [
