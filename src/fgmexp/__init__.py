@@ -13,7 +13,6 @@ across threads; sampling is deterministic in (n, theta, seed).
 from .model import (
     Dataset,
     DataFormatError,
-    Observation,
     PoleError,
     c_shift,
     density,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "DataFormatError",
-    "Observation",
     "PoleError",
     "c_shift",
     "density",

@@ -115,7 +115,7 @@ def _materialize(rng: random.Random, n: int, pattern: tuple[int, ...]) -> list[F
 def _trial_checks(c: list[Fraction]) -> list[dict]:
     """The three cross-checks on one exact shift multiset."""
     failures = []
-    prof = mldegree.profile(c, policy="exact")
+    prof = mldegree.profile(c)
     md_formula = mldegree.ml_degree_formula(prof)
     md_algebraic = mldegree.ml_degree_algebraic(c)
     if md_formula != md_algebraic:

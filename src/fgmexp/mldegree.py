@@ -99,24 +99,18 @@ class CommonZeroReport:
     zeros: tuple[tuple, ...]
 
 
-def profile(c: Sequence, policy: str | None = None) -> MultiplicityProfile:
-    """Group the shift values under the given equality policy.
+def profile(c: Sequence) -> MultiplicityProfile:
+    """Group the shift values by equality; the scalar types pick the mode.
 
-    Exact policy compares rationals exactly; approximate policy clusters
-    floats whose gap is within ``1e-9 * max(1, |value|)``, closed
-    transitively so the result is a partition.  With ``policy=None`` the
-    scalar types decide: all rational means exact, anything else
-    (floats, or a mixture) approximate.
+    All rational (Fraction or int) values are compared exactly; anything
+    else (floats, or a mixture) is compared approximately: floats whose
+    gap is within ``1e-9 * max(1, |value|)`` are grouped, closed
+    transitively so the result is a partition.
     """
     values = c if isinstance(c, np.ndarray) and c.ndim == 1 else list(c)
     if len(values) == 0:
         raise ValueError("need at least one shift value")
-    kind = polynomials.scalar_kind(values)
-    if policy is None:
-        policy = "exact" if kind == polynomials.RATIONAL else "approx"
-    if policy == "exact":
-        if kind != polynomials.RATIONAL:
-            raise ScalarModeError("exact policy requires rational (Fraction/int) values")
+    if polynomials.scalar_kind(values) == polynomials.RATIONAL:
         exact_values = [Fraction(v) for v in values]
         if any(v == 0 for v in exact_values):
             raise ValueError("shift values must be nonzero")
@@ -125,8 +119,6 @@ def profile(c: Sequence, policy: str | None = None) -> MultiplicityProfile:
             counts[v] = counts.get(v, 0) + 1
         groups = tuple(counts.items())
         return MultiplicityProfile(len(values), groups, "exact")
-    if policy != "approx":
-        raise ValueError(f"unknown equality policy {policy!r}")
     if isinstance(values, np.ndarray):
         fl = np.asarray(values, dtype=float)
     else:
@@ -175,14 +167,15 @@ def ml_degree_algebraic(c: Sequence) -> int:
     """Independent algebraic route: deg h - deg gcd(h, k) over exact rationals.
 
     Must agree with :func:`ml_degree_formula` on every input; the pair of
-    routes is the correctness oracle for both.  Raises the errors of the
-    exact :func:`profile`: ScalarModeError for a value that is not
-    rational, ValueError for no values or a zero value, and
-    :class:`AllEqualError` when every value is equal.
+    routes is the correctness oracle for both.  Raises ScalarModeError
+    for a value that is not rational; otherwise the errors of the exact
+    :func:`profile` and :func:`ml_degree_formula`: ValueError for no
+    values or a zero value, and :class:`AllEqualError` when every value
+    is equal.
     """
     values = list(c)
     if polynomials.scalar_kind(values) != polynomials.RATIONAL:
-        raise ScalarModeError("exact policy requires rational (Fraction/int) values")
+        raise ScalarModeError("exact mode requires rational (Fraction/int) values")
     k = polynomials.build_k(values)  # rejects no values and zero values
     if len(values) >= 2 and all(v == values[0] for v in values):
         raise AllEqualError(Fraction(values[0]), len(values))

@@ -96,11 +96,17 @@ def fit_from_weights(weights: Sequence[float]) -> FitResult:
             dropped=dropped,
         )
     # no interior root; equal shifts share one sign, so their score never
-    # changes sign, and they always land here
-    prof = mldegree.profile(1.0 / eff, policy="approx")
-    if prof.p == 1:
+    # changes sign, and they always land here.  A power of two taking the
+    # largest |w| into [0.5, 1] scales every shift and its relative
+    # grouping tolerance exactly, so the groups are those of 1/eff, yet
+    # tiny equal weights do not overflow.  A shift that still overflows
+    # is over 2**1023 times another: they cannot be one group.
+    scaled = np.ldexp(eff, -min(int(np.frexp(np.abs(eff).max())[1]), 0))
+    with np.errstate(over="ignore"):
+        c = 1.0 / scaled
+    if np.isfinite(c).all() and mldegree.profile(c).p == 1:
         # monotone likelihood: boundary by the sign of the common value
-        theta = 1.0 if prof.groups[0][0] > 0.0 else -1.0
+        theta = 1.0 if eff[0] > 0.0 else -1.0
         return FitResult(
             theta_hat=theta,
             loglik=_boundary_loglik(eff, theta),
@@ -128,8 +134,8 @@ def fit(data: Dataset) -> FitResult:
     """Maximum likelihood estimate of the association parameter.
 
     Degenerate observations are dropped first (their score terms vanish
-    identically).  If all remaining shift values are equal (under the
-    same equality policy as :func:`fgmexp.mldegree.profile`), the result
+    identically).  If all remaining shift values are equal (grouped as
+    :func:`fgmexp.mldegree.profile` groups floats), the result
     is the boundary matching the sign of the common value.  Otherwise a
     sign change of the score yields the unique interior root; failing
     that, the endpoint with the larger log-likelihood wins, ties broken

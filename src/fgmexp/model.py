@@ -18,15 +18,13 @@ import io
 import locale
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "THETA_MIN",
     "THETA_MAX",
-    "Observation",
     "Dataset",
     "CShift",
     "PoleError",
@@ -100,25 +98,17 @@ def endpoint(weights: np.ndarray, side: float) -> float:
     return side
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One bivariate point (x, y) in the first quadrant."""
+def _check_point(x: float, y: float) -> None:
+    """ValueError unless the point (x, y) is finite and nonnegative."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"coordinates must be finite, got ({x!r}, {y!r})")
+    if x < 0.0 or y < 0.0:
+        raise ValueError(f"coordinates must be nonnegative, got ({x}, {y})")
 
-    x: float
-    y: float
 
-    def __post_init__(self):
-        x, y = float(self.x), float(self.y)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"coordinates must be finite, got ({self.x!r}, {self.y!r})")
-        if x < 0.0 or y < 0.0:
-            raise ValueError(f"coordinates must be nonnegative, got ({x}, {y})")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def weight(self) -> float:
-        return (2.0 * math.exp(-self.x) - 1.0) * (2.0 * math.exp(-self.y) - 1.0)
+def _weights(x, y):
+    """w = (2 exp(-x) - 1)(2 exp(-y) - 1), elementwise."""
+    return (2.0 * np.exp(-x) - 1.0) * (2.0 * np.exp(-y) - 1.0)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -126,41 +116,18 @@ class Dataset:
     """An ordered sample held as columns: frozen float64 arrays ``x`` and
     ``y`` and the per-observation weights derived from them.
 
-    Weights are recomputed from the coordinates at construction and every
-    array is read-only, so they can never drift out of sync.
-    Observations whose weight is exactly zero (a coordinate at ln 2)
-    contribute nothing to the score and are tracked in
-    ``degenerate_indices``.  ``Dataset(observations)`` builds one from
-    :class:`Observation` points; :meth:`from_arrays` builds one from
-    coordinate arrays.  The per-point ``observations`` view is built on
-    first access.  Two datasets are equal when their coordinates are.
+    Build one with :meth:`from_arrays`.  Weights are recomputed from the
+    coordinates at construction and every array is read-only, so they
+    can never drift out of sync.  Points whose weight is exactly zero (a
+    coordinate at ln 2) contribute nothing to the score and are tracked
+    in ``degenerate_indices``.  Two datasets are equal when their
+    coordinates are.
     """
 
     x: np.ndarray
     y: np.ndarray
     weights: np.ndarray = field(repr=False)
     degenerate_indices: tuple[int, ...]
-
-    def __init__(self, observations: Iterable[Observation]):
-        obs = tuple(observations)
-        self._set_columns(
-            np.array([o.x for o in obs], dtype=float),
-            np.array([o.y for o in obs], dtype=float),
-        )
-        self.__dict__["observations"] = obs
-
-    def _set_columns(self, x: np.ndarray, y: np.ndarray) -> None:
-        w = (2.0 * np.exp(-x) - 1.0) * (2.0 * np.exp(-y) - 1.0)
-        for name, arr in (("x", x), ("y", y), ("weights", w)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(
-            self, "degenerate_indices", tuple(np.flatnonzero(w == 0.0).tolist())
-        )
-
-    @cached_property
-    def observations(self) -> tuple[Observation, ...]:
-        return tuple(Observation(a, b) for a, b in zip(self.x.tolist(), self.y.tolist()))
 
     @property
     def n(self) -> int:
@@ -172,14 +139,15 @@ class Dataset:
         return np.array_equal(self.x, other.x) and np.array_equal(self.y, other.y)
 
     def __hash__(self):
-        return hash(self.observations)
+        # by value, as __eq__ compares: -0.0 and 0.0 hash alike
+        return hash((tuple(self.x.tolist()), tuple(self.y.tolist())))
 
     @classmethod
     def from_arrays(cls, x: Sequence[float], y: Sequence[float]) -> "Dataset":
         """Dataset from coordinate sequences, copied to float64.
 
-        Raises the same ValueError as :class:`Observation` for the first
-        point that is negative or not finite.
+        Raises ValueError for the first point that is negative or not
+        finite.
         """
         x = np.array(x, dtype=float)
         y = np.array(y, dtype=float)
@@ -190,9 +158,15 @@ class Dataset:
         bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)) | (x < 0.0) | (y < 0.0))
         if bad.size:
             i = int(bad[0])
-            Observation(float(x[i]), float(y[i]))  # raises the per-point ValueError
+            _check_point(float(x[i]), float(y[i]))
+        w = _weights(x, y)
         data = cls.__new__(cls)
-        data._set_columns(x, y)
+        for name, arr in (("x", x), ("y", y), ("weights", w)):
+            arr.setflags(write=False)
+            object.__setattr__(data, name, arr)
+        object.__setattr__(
+            data, "degenerate_indices", tuple(np.flatnonzero(w == 0.0).tolist())
+        )
         return data
 
 
@@ -203,13 +177,17 @@ class CShift(NamedTuple):
     degenerate_indices: tuple[int, ...]
 
 
-def density(obs: Observation, theta: float) -> float:
-    """Joint density exp(-(x+y)) * (1 + theta*w) at one observation.
+def density(x: float, y: float, theta: float) -> float:
+    """Joint density exp(-(x+y)) * (1 + theta*w) at the point (x, y).
 
-    Nonnegative for every valid input because |theta|*|w| <= 1.
+    Nonnegative for every valid input because |theta|*|w| <= 1.  Raises
+    ValueError for a point that is negative or not finite, as
+    :meth:`Dataset.from_arrays` does, and for theta outside [-1, 1].
     """
+    x, y = float(x), float(y)
+    _check_point(x, y)
     t = validate_theta(theta)
-    return math.exp(-(obs.x + obs.y)) * (1.0 + t * obs.weight)
+    return math.exp(-(x + y)) * (1.0 + t * float(_weights(x, y)))
 
 
 def log_likelihood_weights(weights: np.ndarray, theta: float) -> float:
@@ -365,7 +343,8 @@ def _parse_plain(text: str) -> Dataset | None:
 def _parse_csv(text: str) -> Dataset:
     """Row-by-row parse with ``csv.reader``; the source of every
     line-numbered :class:`DataFormatError`."""
-    observations = []
+    xs: list[float] = []
+    ys: list[float] = []
     rows = _csv_rows(text)
     _, header = next(rows, (1, None))
     if header is None or [cell.strip() for cell in header] != ["x", "y"]:
@@ -380,10 +359,12 @@ def _parse_csv(text: str) -> Dataset:
         except ValueError:
             raise DataFormatError(line_no, f"non-numeric value in {row!r}") from None
         try:
-            observations.append(Observation(x, y))
+            _check_point(x, y)
         except ValueError as exc:
             raise DataFormatError(line_no, str(exc)) from None
-    return Dataset(tuple(observations))
+        xs.append(x)
+        ys.append(y)
+    return Dataset.from_arrays(xs, ys)
 
 
 def _csv_rows(text: str):

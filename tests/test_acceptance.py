@@ -83,7 +83,7 @@ def test_c1_closed_formula_matches_gcd_oracle(exact_trials):
     with criterion("C1 ml-degree closed formula == deg h - deg gcd(h,k), 500 exact trials in <10s"):
         start = time.perf_counter()
         for c in exact_trials:
-            prof = mldegree.profile(c, policy="exact")
+            prof = mldegree.profile(c)
             by_formula = mldegree.ml_degree_formula(prof)
             h, k = build_h(c), build_k(c)
             by_gcd = h.degree - gcd(h, k).degree
@@ -187,7 +187,7 @@ def test_c7_all_equal_shifts_pick_the_matching_boundary():
             scan = np.log1p(np.outer(grid, np.full(7, w0))).sum(axis=1)
             assert grid[int(np.argmax(scan))] == expected
         # dataset route: identical observations share one exact weight
-        ds = model.Dataset(tuple(model.Observation(0.3, 0.4) for _ in range(5)))
+        ds = model.Dataset.from_arrays([0.3] * 5, [0.4] * 5)
         assert mle.fit(ds).theta_hat == 1.0
 
 
@@ -195,7 +195,7 @@ def quadrature_correlation(theta, upper=40.0):
     """Pearson correlation of the joint density by double integration only."""
 
     def f(y, x):
-        return model.density(model.Observation(x, y), theta)
+        return model.density(x, y, theta)
 
     def moment(gx, gy):
         val, _ = integrate.dblquad(
@@ -220,8 +220,7 @@ def test_c8_sampler_marginals_and_correlation_against_quadrature():
         corr_quad = quadrature_correlation(theta)
         assert corr_quad == pytest.approx(theta / 4.0, abs=1e-5)
         ds = model.sample(20000, theta, 11)
-        x = np.array([o.x for o in ds.observations])
-        y = np.array([o.y for o in ds.observations])
+        x, y = ds.x, ds.y
         assert stats.kstest(x, "expon").statistic < 0.02
         assert stats.kstest(y, "expon").statistic < 0.02
         assert abs(float(np.corrcoef(x, y)[0, 1]) - corr_quad) < 0.02

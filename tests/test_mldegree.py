@@ -56,10 +56,6 @@ class TestProfile:
         prof = profile([F(3), F(3), F(5), F(5), F(9)])
         assert (prof.n, prof.p, prof.l, prof.m) == (5, 3, 2, 4)
 
-    def test_exact_policy_rejects_floats(self):
-        with pytest.raises(ScalarModeError):
-            profile([1.0, 2.0], policy="exact")
-
     def test_rejects_zero_values(self):
         with pytest.raises(ValueError):
             profile([F(1), F(0)])
@@ -164,13 +160,13 @@ class TestApproxProfileMatchesLoop:
     def test_table(self, values):
         for order in (values, values[::-1]):
             want = loop_profile_groups(order)
-            assert profile(order, "approx").groups == want
-            assert profile(np.array(order), "approx").groups == want
+            assert profile(order).groups == want
+            assert profile(np.array(order)).groups == want
 
     @settings(max_examples=300, deadline=None)
     @given(values=adversarial_shifts())
     def test_generated(self, values):
-        prof = profile(values, "approx")
+        prof = profile(values)
         assert prof.groups == loop_profile_groups(values)
         assert prof.n == len(values)
 
@@ -183,8 +179,6 @@ class TestScalarKind:
         prof = profile(mixed)
         assert prof.mode == "approx"
         assert prof.groups == ((0.5, 2), (3.0, 1))
-        with pytest.raises(ScalarModeError):
-            profile(mixed, policy="exact")
         with pytest.raises(ScalarModeError):
             build_k(mixed)
 
@@ -271,10 +265,14 @@ class TestMlDegreeAlgebraic:
         np.array([4, 4]), [F(1), 2.0], [1.0, 2.0], np.array([1.0, 2.0]), ["a", "b"],
     ], ids=repr)
     def test_raises_what_the_exact_profile_raises(self, c):
-        with pytest.raises(Exception) as want:
-            ml_degree_formula(profile(c, policy="exact"))
         with pytest.raises(Exception) as got:
             ml_degree_algebraic(c)
+        if polynomials.scalar_kind(c) != polynomials.RATIONAL:
+            # such values are grouped approximately, never exactly
+            assert type(got.value) is ScalarModeError
+            return
+        with pytest.raises(Exception) as want:
+            ml_degree_formula(profile(c))
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         if isinstance(want.value, AllEqualError):

@@ -1,13 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from fgmexp import model, roots
+from fgmexp import mldegree, model, roots
 from fgmexp.mle import FitResult, NoDataError, fit, fit_from_weights, profile_loglik
 from fgmexp.model import (
     Dataset,
-    Observation,
     log_likelihood,
     log_likelihood_weights,
     sample,
@@ -89,7 +89,7 @@ class TestFitBoundary:
 
     def test_origin_observations_weight_one(self):
         # weight exactly 1: pole at theta = -1, maximizer at +1
-        ds = Dataset((Observation(0.0, 0.0), Observation(0.0, 0.0)))
+        ds = Dataset.from_arrays([0.0, 0.0], [0.0, 0.0])
         res = fit(ds)
         assert res.theta_hat == 1.0
         assert res.loglik == pytest.approx(2 * math.log(2.0), rel=1e-12)
@@ -130,6 +130,36 @@ def test_weights_are_checked_once_per_fit(monkeypatch, w):
     assert len(calls) == 1
 
 
+class TestTinyWeights:
+    """Weights whose shifts 1/w overflow a float."""
+
+    @pytest.mark.parametrize("w,theta,tie", [
+        ([1e-310, 0.5], 1.0, False),
+        ([-1e-310, -0.5], -1.0, False),
+        ([1e-310] * 3, 1.0, False),  # all equal
+        ([-1e-310] * 3, -1.0, False),  # all equal
+        ([5e-324, 1e-323], 1.0, True),  # shifts a factor 2 apart, endpoints tie
+    ])
+    def test_fit_at_the_boundary_without_a_warning(self, w, theta, tie):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit_from_weights(w)
+        assert (res.theta_hat, res.at_boundary, res.tie_broken) == (theta, True, tie)
+        assert res.loglik == log_likelihood_weights(np.array(w), theta)
+
+    def test_grouping_matches_the_unscaled_shifts(self):
+        # negative weights this small tie at the endpoints (both logliks
+        # are 0), so theta reads the all-equal decision: -1 when the
+        # shifts form one group, +1 by the tie otherwise
+        rng = np.random.default_rng(97)
+        for _ in range(400):
+            base = -10.0 ** rng.uniform(-300, -17)
+            gaps = 1e-9 * (1.0 + rng.uniform(-1e-6, 1e-6, size=int(rng.integers(1, 4))))
+            w = base * np.cumprod(np.concatenate(([1.0], 1.0 + gaps)))
+            one_group = mldegree.profile(1.0 / w).p == 1
+            assert fit_from_weights(w).theta_hat == (-1.0 if one_group else 1.0)
+
+
 class TestEquivariance:
     def test_exact_sign_flip_simulated(self):
         rng = np.random.default_rng(79)
@@ -142,7 +172,7 @@ class TestEquivariance:
             assert neg.at_boundary == res.at_boundary
 
     def test_exact_sign_flip_boundary_cases(self):
-        for w in ([0.5], [0.5, 0.5], [0.9, 0.8], [1.0, 0.3]):
+        for w in ([0.5], [0.5, 0.5], [0.9, 0.8], [1.0, 0.3], [1e-310, 0.5], [1e-310] * 3):
             w = np.array(w)
             res, neg = fit_from_weights(w), fit_from_weights(-w)
             assert neg.theta_hat == -res.theta_hat
@@ -150,16 +180,16 @@ class TestEquivariance:
 
 class TestDegenerateData:
     def test_all_degenerate_raises_no_data(self):
-        ds = Dataset((Observation(LN2, 1.0), Observation(2.0, LN2)))
+        ds = Dataset.from_arrays([LN2, 2.0], [1.0, LN2])
         with pytest.raises(NoDataError):
             fit(ds)
 
     def test_empty_dataset_raises_no_data(self):
         with pytest.raises(NoDataError):
-            fit(Dataset(()))
+            fit(Dataset.from_arrays([], []))
 
     def test_degenerates_are_dropped_and_counted(self):
-        ds = Dataset((Observation(LN2, 1.0), Observation(0.1, 0.2), Observation(1.0, 1.5)))
+        ds = Dataset.from_arrays([LN2, 0.1, 1.0], [1.0, 0.2, 1.5])
         res = fit(ds)
         assert res.dropped == 1
         assert res.n_effective == 2
@@ -187,7 +217,7 @@ class TestProfileLoglik:
         assert pts == [(0.0, 0.0)]
 
     def test_monotone_for_positive_weights(self):
-        ds = Dataset((Observation(0.1, 0.2), Observation(0.0, 0.3), Observation(0.25, 0.05)))
+        ds = Dataset.from_arrays([0.1, 0.0, 0.25], [0.2, 0.3, 0.05])
         assert np.all(ds.weights > 0)
         values = [ll for _, ll in profile_loglik(ds, np.linspace(-1, 1, 21))]
         assert np.all(np.diff(values) > 0)
@@ -196,7 +226,7 @@ class TestProfileLoglik:
         assert profile_loglik(sample(5, 0.0, 1), []) == []
 
     def test_minus_inf_sentinel(self):
-        ds = Dataset((Observation(0.0, 0.0),))  # weight exactly 1
+        ds = Dataset.from_arrays([0.0], [0.0])  # weight exactly 1
         pts = profile_loglik(ds, [-1.0, 0.0, 1.0])
         assert pts[0][1] == float("-inf")
         assert pts[1][1] == 0.0

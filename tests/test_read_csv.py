@@ -13,19 +13,29 @@ quoted field holding a line break.
 """
 
 import csv
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fgmexp import model
-from fgmexp.model import DataFormatError, Dataset, Observation, read_csv
+from fgmexp.model import DataFormatError, Dataset, read_csv
+
+
+def oracle_point(x: float, y: float) -> tuple[float, float]:
+    """That reader's per-point check, copied, not shared with the package."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"coordinates must be finite, got ({x!r}, {y!r})")
+    if x < 0.0 or y < 0.0:
+        raise ValueError(f"coordinates must be nonnegative, got ({x}, {y})")
+    return x, y
 
 
 def oracle_read_csv(path) -> Dataset:
     """The row-by-row reader ``read_csv`` used before the bulk parse, with
     rows numbered by physical line."""
-    observations = []
+    points = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -42,10 +52,10 @@ def oracle_read_csv(path) -> Dataset:
             except ValueError:
                 raise DataFormatError(line_no, f"non-numeric value in {row!r}") from None
             try:
-                observations.append(Observation(x, y))
+                points.append(oracle_point(x, y))
             except ValueError as exc:
                 raise DataFormatError(line_no, str(exc)) from None
-    return Dataset(tuple(observations))
+    return Dataset.from_arrays([p[0] for p in points], [p[1] for p in points])
 
 
 def outcome(parse, arg):
@@ -115,6 +125,7 @@ CASES = {
     "empty fields": ("x,y\n,\n", False),
     "whitespace-only row": ("x,y\n1,2\n  \n", False),
     "non-numeric": ("x,y\n1,2\nbogus,3\n", False),
+    "negative before non-numeric": ("x,y\n1,2\n-1,2\n3,4\nbogus,5\n", False),
     "nul in a value": ("x,y\n1\x00,2\n", False),
     "nul row": ("x,y\n\x00\n", False),
     "nul in header": ("x,y\x00\n1,2\n", False),
@@ -187,6 +198,33 @@ def test_rows_are_numbered_by_physical_line(tmp_path, text, line_no):
     with pytest.raises(DataFormatError) as err:
         read_csv(path)
     assert err.value.line_no == line_no
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("x,y,message", [
+    (INF, 1.0, "coordinates must be finite, got (inf, 1.0)"),
+    (1.0, -INF, "coordinates must be finite, got (1.0, -inf)"),
+    (NAN, 1.0, "coordinates must be finite, got (nan, 1.0)"),
+    (1.0, NAN, "coordinates must be finite, got (1.0, nan)"),
+    (-1.0, NAN, "coordinates must be finite, got (-1.0, nan)"),
+    (-1.0, 1.0, "coordinates must be nonnegative, got (-1.0, 1.0)"),
+    (1.0, -0.5, "coordinates must be nonnegative, got (1.0, -0.5)"),
+], ids=repr)
+def test_point_rule_message_is_the_same_on_every_path(tmp_path, x, y, message):
+    with pytest.raises(ValueError) as got:
+        Dataset.from_arrays([0.5, x], [0.5, y])
+    assert str(got.value) == message
+    with pytest.raises(ValueError) as got:
+        model.density(x, y, 0.0)
+    assert str(got.value) == message
+    path = tmp_path / "data.csv"
+    for row in (f"{x!r},{y!r}", f'"{x!r}","{y!r}"'):  # plain, then quoted
+        path.write_text(f"x,y\n0.5,0.5\n{row}\n")
+        with pytest.raises(DataFormatError) as got:
+            read_csv(path)
+        assert str(got.value) == f"line 3: {message}"
 
 
 @pytest.mark.parametrize("raw,line_no", [

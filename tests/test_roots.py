@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fgmexp.model import Dataset, Observation, sample
+from fgmexp.model import Dataset, sample
 from fgmexp.polynomials import FLOAT, Poly, ScalarModeError, build_h
 from fgmexp.roots import (
     RootSet,
@@ -164,7 +164,7 @@ class TestScoreRoot:
             score_root_from_weights(np.array([0.0, 0.0]))
 
     def test_dataset_wrapper_drops_degenerates(self):
-        ds = Dataset((Observation(math.log(2.0), 1.0), Observation(0.2, 0.1), Observation(2.5, 3.0)))
+        ds = Dataset.from_arrays([math.log(2.0), 0.2, 2.5], [1.0, 0.1, 3.0])
         assert ds.degenerate_indices == (0,)
         r = score_root_in_open_interval(ds)
         w = ds.weights[ds.weights != 0.0]
