@@ -23,7 +23,7 @@ from .model import (
     write_csv,
 )
 from .polynomials import Poly, ScalarModeError, build_h, build_k, gcd, parse_rational
-from .roots import RootSet, complex_roots, score_root_in_open_interval
+from .roots import RootSet, complex_roots
 from .mldegree import (
     AllEqualError,
     CommonZeroReport,
@@ -34,7 +34,7 @@ from .mldegree import (
     ml_degree_report,
     profile,
 )
-from .mle import FitResult, NoDataError, fit, fit_from_weights, profile_loglik
+from .mle import FitResult, NoDataError, fit, fit_from_weights
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "parse_rational",
     "RootSet",
     "complex_roots",
-    "score_root_in_open_interval",
     "AllEqualError",
     "CommonZeroReport",
     "MultiplicityProfile",
@@ -70,6 +69,5 @@ __all__ = [
     "NoDataError",
     "fit",
     "fit_from_weights",
-    "profile_loglik",
     "__version__",
 ]

@@ -117,7 +117,7 @@ def _trial_checks(c: list[Fraction]) -> list[dict]:
     failures = []
     prof = mldegree.profile(c)
     md_formula = mldegree.ml_degree_formula(prof)
-    md_algebraic = mldegree.ml_degree_algebraic(c)
+    md_algebraic, h = mldegree._algebraic_count_and_h(c)
     if md_formula != md_algebraic:
         failures.append(
             {
@@ -136,7 +136,6 @@ def _trial_checks(c: list[Fraction]) -> list[dict]:
                 "detail": f"gcd degree {gcd_degree} vs repeats {has_repeat}",
             }
         )
-    h = polynomials.build_h(c) if has_repeat else None
     for v, mult in prof.groups:
         if mult >= 2:
             observed = polynomials.root_multiplicity(h, -v)

@@ -173,14 +173,19 @@ def ml_degree_algebraic(c: Sequence) -> int:
     values or a zero value, and :class:`AllEqualError` when every value
     is equal.
     """
-    values = list(c)
+    return _algebraic_count_and_h(list(c))[0]
+
+
+def _algebraic_count_and_h(values: list) -> tuple[int, polynomials.Poly]:
+    """:func:`ml_degree_algebraic`'s count together with the h = k' it
+    built, for callers that also need h."""
     if polynomials.scalar_kind(values) != polynomials.RATIONAL:
         raise ScalarModeError("exact mode requires rational (Fraction/int) values")
     k = polynomials.build_k(values)  # rejects no values and zero values
     if len(values) >= 2 and all(v == values[0] for v in values):
         raise AllEqualError(Fraction(values[0]), len(values))
     h = k.derivative()
-    return int(h.degree - polynomials.gcd(h, k).degree)
+    return int(h.degree - polynomials.gcd(h, k).degree), h
 
 
 def _serialize_value(v):

@@ -25,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from . import mldegree, model, roots
-from .model import Dataset, log_likelihood, log_likelihood_weights, validate_theta
+from .model import Dataset, log_likelihood_weights
 
-__all__ = ["FitResult", "NoDataError", "fit", "fit_from_weights", "profile_loglik"]
+__all__ = ["FitResult", "NoDataError", "fit", "fit_from_weights"]
 
 
 class NoDataError(ValueError):
@@ -69,6 +69,20 @@ def _boundary_loglik(w: np.ndarray, side: float) -> float:
     return log_likelihood_weights(w, model.endpoint(w, side))
 
 
+def _one_group(eff: np.ndarray) -> bool:
+    """Whether the shifts 1/eff are all one group, as
+    :func:`fgmexp.mldegree.profile` groups floats."""
+    # A power of two taking the largest |w| into [0.5, 1] scales every
+    # shift and its relative grouping tolerance exactly, so the groups are
+    # those of 1/eff, yet tiny equal weights do not overflow.  A shift
+    # that still overflows is over 2**1023 times another: they cannot be
+    # one group.
+    scaled = np.ldexp(eff, -min(int(np.frexp(np.abs(eff).max())[1]), 0))
+    with np.errstate(over="ignore"):
+        c = 1.0 / scaled
+    return bool(np.isfinite(c).all()) and mldegree.profile(c).p == 1
+
+
 def fit_from_weights(weights: Sequence[float]) -> FitResult:
     """Fit from a weight vector; see :func:`fit` for the contract.
 
@@ -96,15 +110,10 @@ def fit_from_weights(weights: Sequence[float]) -> FitResult:
             dropped=dropped,
         )
     # no interior root; equal shifts share one sign, so their score never
-    # changes sign, and they always land here.  A power of two taking the
-    # largest |w| into [0.5, 1] scales every shift and its relative
-    # grouping tolerance exactly, so the groups are those of 1/eff, yet
-    # tiny equal weights do not overflow.  A shift that still overflows
-    # is over 2**1023 times another: they cannot be one group.
-    scaled = np.ldexp(eff, -min(int(np.frexp(np.abs(eff).max())[1]), 0))
-    with np.errstate(over="ignore"):
-        c = 1.0 / scaled
-    if np.isfinite(c).all() and mldegree.profile(c).p == 1:
+    # changes sign, and they always land here.  Shifts of opposite signs
+    # are at least 2 apart and never one group, so only a one-signed
+    # vector is grouped.
+    if np.count_nonzero(eff > 0.0) in (0, n_eff) and _one_group(eff):
         # monotone likelihood: boundary by the sign of the common value
         theta = 1.0 if eff[0] > 0.0 else -1.0
         return FitResult(
@@ -134,25 +143,11 @@ def fit(data: Dataset) -> FitResult:
     """Maximum likelihood estimate of the association parameter.
 
     Degenerate observations are dropped first (their score terms vanish
-    identically).  If all remaining shift values are equal (grouped as
-    :func:`fgmexp.mldegree.profile` groups floats), the result
-    is the boundary matching the sign of the common value.  Otherwise a
-    sign change of the score yields the unique interior root; failing
-    that, the endpoint with the larger log-likelihood wins, ties broken
-    toward +1 and flagged.
+    identically).  A sign change of the score yields the unique interior
+    root.  Failing that, if all remaining shift values are equal
+    (grouped as :func:`fgmexp.mldegree.profile` groups floats), the
+    result is the boundary matching the sign of the common value;
+    otherwise the endpoint with the larger log-likelihood wins, ties
+    broken toward +1 and flagged.
     """
     return fit_from_weights(data.weights)
-
-
-def profile_loglik(data: Dataset, grid: Sequence[float]) -> list[tuple[float, float]]:
-    """Pointwise constant-free log-likelihood over a theta grid.
-
-    Grid values must lie in [-1, 1]; where the likelihood is undefined
-    the -inf sentinel of :func:`fgmexp.model.log_likelihood` flows
-    through.
-    """
-    out = []
-    for t in grid:
-        t = validate_theta(t)
-        out.append((t, log_likelihood(data, t)))
-    return out

@@ -220,7 +220,8 @@ class TestVerify:
     def test_wrong_algebraic_count_fails_both_checks_that_use_it(self, monkeypatch):
         # n - 1 is the count of a multiset without repeats, so both the
         # formula cross-check and the common-zero biconditional must fail
-        monkeypatch.setattr(mldegree, "ml_degree_algebraic", lambda c: len(c) - 1)
+        real = mldegree._algebraic_count_and_h
+        monkeypatch.setattr(mldegree, "_algebraic_count_and_h", lambda c: (len(c) - 1, real(c)[1]))
         campaign = run_campaign(5, 8, 3, patterns=[(2, 2)])
         assert campaign.checks_run == 5
         checks = [(f["trial"], f["check"]) for f in campaign.failures]
@@ -236,6 +237,16 @@ class TestVerify:
         campaign = run_campaign(40, 9, 5)
         assert campaign.passed
         assert campaign.checks_run > 0
+        assert len(calls) == campaign.checks_run
+
+    def test_one_build_of_k_per_checked_trial(self, monkeypatch):
+        # the multiplicity check runs on the h that the algebraic count built
+        calls = []
+        real_build_k = polynomials.build_k
+        monkeypatch.setattr(polynomials, "build_k", lambda c: calls.append(1) or real_build_k(c))
+        campaign = run_campaign(40, 9, 5, patterns=[(2,), (3, 2), (2, 2, 2)])
+        assert campaign.passed
+        assert campaign.checks_run == 40
         assert len(calls) == campaign.checks_run
 
     def test_one_grouping_per_checked_trial(self, monkeypatch):

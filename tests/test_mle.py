@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fgmexp import mldegree, model, roots
-from fgmexp.mle import FitResult, NoDataError, fit, fit_from_weights, profile_loglik
+from fgmexp.mle import FitResult, NoDataError, fit, fit_from_weights
 from fgmexp.model import (
     Dataset,
     log_likelihood,
@@ -130,6 +130,30 @@ def test_weights_are_checked_once_per_fit(monkeypatch, w):
     assert len(calls) == 1
 
 
+class TestGrouping:
+    """Only a one-signed boundary fit asks whether all shifts are equal:
+    shifts of opposite signs are at least 2 apart and never one group."""
+
+    def test_mixed_sign_boundary_fit_does_not_group(self, monkeypatch):
+        def refuse(c):
+            raise AssertionError("grouped the shifts of a mixed-sign vector")
+
+        monkeypatch.setattr(mldegree, "profile", refuse)
+        for w in ([0.9, -0.1], [1.0, -0.2], [-0.9, 0.1, 0.05]):
+            res = fit_from_weights(w)
+            assert res.at_boundary and not res.tie_broken
+        assert fit_from_weights([0.9, -0.1]).theta_hat == 1.0
+        assert fit_from_weights([-0.9, 0.1, 0.05]).theta_hat == -1.0
+
+    def test_all_equal_fit_groups(self, monkeypatch):
+        calls = []
+        real = mldegree.profile
+        monkeypatch.setattr(mldegree, "profile", lambda c: calls.append(1) or real(c))
+        assert fit_from_weights([0.3] * 4).theta_hat == 1.0
+        assert fit_from_weights([-0.3] * 4).theta_hat == -1.0
+        assert len(calls) == 2
+
+
 class TestTinyWeights:
     """Weights whose shifts 1/w overflow a float."""
 
@@ -211,27 +235,25 @@ class TestFitResultShape:
 
 
 class TestProfileLoglik:
+    """The log-likelihood profiled over a grid of theta values."""
+
     def test_zero_at_theta_zero(self):
         ds = sample(20, 0.5, 3)
-        pts = profile_loglik(ds, [0.0])
-        assert pts == [(0.0, 0.0)]
+        assert log_likelihood(ds, 0.0) == 0.0
 
     def test_monotone_for_positive_weights(self):
         ds = Dataset.from_arrays([0.1, 0.0, 0.25], [0.2, 0.3, 0.05])
         assert np.all(ds.weights > 0)
-        values = [ll for _, ll in profile_loglik(ds, np.linspace(-1, 1, 21))]
+        values = [log_likelihood(ds, t) for t in np.linspace(-1, 1, 21)]
         assert np.all(np.diff(values) > 0)
-
-    def test_empty_grid(self):
-        assert profile_loglik(sample(5, 0.0, 1), []) == []
 
     def test_minus_inf_sentinel(self):
         ds = Dataset.from_arrays([0.0], [0.0])  # weight exactly 1
-        pts = profile_loglik(ds, [-1.0, 0.0, 1.0])
-        assert pts[0][1] == float("-inf")
-        assert pts[1][1] == 0.0
-        assert pts[2][1] == pytest.approx(math.log(2.0))
+        pts = [log_likelihood(ds, t) for t in (-1.0, 0.0, 1.0)]
+        assert pts[0] == float("-inf")
+        assert pts[1] == 0.0
+        assert pts[2] == pytest.approx(math.log(2.0))
 
     def test_rejects_out_of_range_grid(self):
         with pytest.raises(ValueError):
-            profile_loglik(sample(5, 0.0, 1), [0.0, 1.5])
+            log_likelihood(sample(5, 0.0, 1), 1.5)

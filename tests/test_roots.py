@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fgmexp import roots
+from fgmexp.mle import fit
 from fgmexp.model import Dataset, sample
 from fgmexp.polynomials import FLOAT, Poly, ScalarModeError, build_h
-from fgmexp.roots import (
-    RootSet,
-    complex_roots,
-    score_root_from_weights,
-    score_root_in_open_interval,
-)
+from fgmexp.roots import RootSet, complex_roots, score_root_from_weights
 
 F = Fraction
 
@@ -164,11 +163,13 @@ class TestScoreRoot:
             score_root_from_weights(np.array([0.0, 0.0]))
 
     def test_dataset_wrapper_drops_degenerates(self):
-        ds = Dataset.from_arrays([math.log(2.0), 0.2, 2.5], [1.0, 0.1, 3.0])
+        # mle.fit is the dataset-level entry to the root search
+        ds = Dataset.from_arrays([math.log(2.0), 0.2, 2.5], [1.0, 0.1, 0.1])
         assert ds.degenerate_indices == (0,)
-        r = score_root_in_open_interval(ds)
         w = ds.weights[ds.weights != 0.0]
-        assert r == score_root_from_weights(w)
+        r = score_root_from_weights(w)
+        assert r is not None
+        assert fit(ds).interior_root == r
 
     def test_exact_sign_flip_of_root(self):
         rng = np.random.default_rng(47)
@@ -182,3 +183,61 @@ class TestScoreRoot:
                 assert r_neg is None
             else:
                 assert r_neg == -r
+
+    @pytest.mark.parametrize("theta", [0.3, -0.5])
+    def test_large_fits_take_few_passes(self, monkeypatch, theta):
+        # one pass scores the +1 endpoint, the rest are Newton steps
+        calls = []
+        real = roots._pass
+        monkeypatch.setattr(roots, "_pass", lambda w, t: calls.append(t) or real(w, t))
+        for n, seed in ((10**6, 42), (10**5, 1), (10**5, 2)):
+            calls.clear()
+            res = fit(sample(n, theta, seed))
+            assert not res.at_boundary
+            assert len(calls) <= 6, (n, seed, calls)
+
+    @pytest.mark.parametrize("n", [10**2, 10**3, 10**4])
+    def test_score_at_root_meets_the_relative_rule(self, n):
+        # the exactly rounded score at the root is within STOP_REL of the
+        # sum of the magnitudes of its terms
+        rng = np.random.default_rng(n)
+        checked = 0
+        for theta in (-0.8, -0.3, 0.0, 0.4, 0.9):
+            for _ in range(4):
+                w = sample(n, theta, int(rng.integers(0, 2**31))).weights
+                w = w[w != 0.0]
+                r = score_root_from_weights(w)
+                if r is None:
+                    continue
+                q = w / (1.0 + r * w)
+                assert abs(math.fsum(q)) <= roots.STOP_REL * float(np.abs(q).sum())
+                checked += 1
+        assert checked >= 15
+
+
+_weight = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.sampled_from([1.0, -1.0, 0.0, 5e-324, -5e-324, 1e-310, -2.5e-310, 0.5, -0.5]),
+)
+
+
+@given(st.lists(_weight, min_size=1, max_size=40), st.booleans())
+def test_root_of_negated_weights_is_negated_root(values, balanced):
+    w = np.array(values)
+    if balanced:
+        # each weight next to its negation: the sum is exactly zero
+        w = np.column_stack([w, -w]).ravel()
+        assert w.sum() == 0.0
+    if not w.any():
+        for v in (w, -w):
+            with pytest.raises(ValueError):
+                score_root_from_weights(v)
+        return
+    r, r_neg = score_root_from_weights(w), score_root_from_weights(-w)
+    if balanced:
+        assert r == 0.0
+    if r is None:
+        assert r_neg is None
+    else:
+        assert -1.0 < r < 1.0
+        assert r_neg == -r
