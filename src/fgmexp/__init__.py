@@ -26,7 +26,6 @@ from .polynomials import Poly, ScalarModeError, build_h, build_k, gcd, parse_rat
 from .roots import RootSet, complex_roots
 from .mldegree import (
     AllEqualError,
-    CommonZeroReport,
     MultiplicityProfile,
     common_zeros,
     ml_degree_algebraic,
@@ -58,7 +57,6 @@ __all__ = [
     "RootSet",
     "complex_roots",
     "AllEqualError",
-    "CommonZeroReport",
     "MultiplicityProfile",
     "common_zeros",
     "ml_degree_algebraic",

@@ -128,7 +128,7 @@ def _trial_checks(c: list[Fraction]) -> list[dict]:
     # h = k' has degree exactly n - 1, so the algebraic count
     # n - 1 - deg gcd(h, k) gives the gcd degree without a second gcd
     gcd_degree = len(c) - 1 - md_algebraic
-    has_repeat = any(mult >= 2 for _, mult in prof.groups)
+    has_repeat = prof.l > 0
     if (gcd_degree >= 1) != has_repeat:
         failures.append(
             {
@@ -136,16 +136,15 @@ def _trial_checks(c: list[Fraction]) -> list[dict]:
                 "detail": f"gcd degree {gcd_degree} vs repeats {has_repeat}",
             }
         )
-    for v, mult in prof.groups:
-        if mult >= 2:
-            observed = polynomials.root_multiplicity(h, -v)
-            if observed != mult - 1:
-                failures.append(
-                    {
-                        "check": "repeated-shift-multiplicity",
-                        "detail": f"value {v}: multiplicity {observed} != {mult - 1}",
-                    }
-                )
+    for zero, mult in mldegree.common_zeros(prof):
+        observed = polynomials.root_multiplicity(h, zero)
+        if observed != mult:
+            failures.append(
+                {
+                    "check": "repeated-shift-multiplicity",
+                    "detail": f"value {-zero}: multiplicity {observed} != {mult}",
+                }
+            )
     return failures
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "APPROX_REL_TOL",
     "AllEqualError",
     "MultiplicityProfile",
-    "CommonZeroReport",
     "profile",
     "common_zeros",
     "ml_degree_formula",
@@ -89,16 +88,6 @@ class MultiplicityProfile:
         return sum(mult for _, mult in self.groups if mult > 1)
 
 
-@dataclass(frozen=True)
-class CommonZeroReport:
-    """Common zeros of h and k: (-value, multiplicity in h) per repeat.
-
-    Empty exactly when all shift values are distinct.
-    """
-
-    zeros: tuple[tuple, ...]
-
-
 def profile(c: Sequence) -> MultiplicityProfile:
     """Group the shift values by equality; the scalar types pick the mode.
 
@@ -140,15 +129,15 @@ def profile(c: Sequence) -> MultiplicityProfile:
     return MultiplicityProfile(len(values), groups, "approx")
 
 
-def common_zeros(prof: MultiplicityProfile) -> CommonZeroReport:
-    """Common zeros of h and k implied by the profile.
+def common_zeros(prof: MultiplicityProfile) -> tuple[tuple, ...]:
+    """Common zeros of h and k implied by the profile, as
+    (-value, multiplicity in h) pairs.
 
     Each group of size n_i >= 2 contributes (-value, n_i - 1); singleton
-    groups contribute nothing.
+    groups contribute nothing, so the tuple is empty exactly when all
+    shift values are distinct.
     """
-    return CommonZeroReport(
-        tuple((-v, mult - 1) for v, mult in prof.groups if mult >= 2)
-    )
+    return tuple((-v, mult - 1) for v, mult in prof.groups if mult >= 2)
 
 
 def ml_degree_formula(prof: MultiplicityProfile) -> int:
@@ -203,7 +192,6 @@ def ml_degree_report(c: Sequence) -> dict:
     """
     prof = profile(c)
     md = ml_degree_formula(prof)
-    cz = common_zeros(prof)
     doc = {
         "n": prof.n,
         "p": prof.p,
@@ -211,7 +199,8 @@ def ml_degree_report(c: Sequence) -> dict:
         "m": prof.m,
         "ml_degree": md,
         "common_zeros": [
-            {"value": _serialize_value(v), "mult": mult} for v, mult in cz.zeros
+            {"value": _serialize_value(v), "mult": mult}
+            for v, mult in common_zeros(prof)
         ],
         "mode": prof.mode,
     }

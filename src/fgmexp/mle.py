@@ -1,15 +1,13 @@
 """Maximum likelihood estimation of the association parameter.
 
-Strict concavity of the log-likelihood on (-1, 1) (every score term is
-nonincreasing and at least one is strictly decreasing) means there are
-only three outcomes:
+Every log-likelihood term log(1 + theta w_i) with w_i != 0 is strictly
+concave on (-1, 1), so there are only two outcomes:
 
-* the score changes sign inside the interval: the unique interior root
-  is the global maximizer;
-* all effective shift values coincide: the likelihood is monotone and
-  the maximizer is the boundary matching the sign of the common value;
-* otherwise: the maximizer is whichever endpoint carries the larger
-  log-likelihood.
+* the score changes sign inside the interval: its unique zero is the
+  global maximizer;
+* otherwise: the likelihood is monotone on the interval, and the
+  maximizer is the endpoint that the sign of the score at 0, the sign
+  of sum(w_i), points to.
 
 Observations with zero weight contribute a constant to the likelihood
 and are dropped; a dataset with nothing left has a flat likelihood and
@@ -24,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import mldegree, model, roots
+from . import model, roots
 from .model import Dataset, log_likelihood_weights
 
 __all__ = ["FitResult", "NoDataError", "fit", "fit_from_weights"]
@@ -41,8 +39,7 @@ class FitResult:
 
     ``loglik`` is the constant-free log-likelihood at ``theta_hat``.
     ``interior_root`` repeats ``theta_hat`` for an interior fit and is
-    None at a boundary.  ``tie_broken`` flags the degenerate case of
-    exactly equal endpoint likelihoods, resolved toward +1.
+    None at a boundary.
     """
 
     theta_hat: float
@@ -51,7 +48,6 @@ class FitResult:
     interior_root: float | None
     n_effective: int
     dropped: int
-    tie_broken: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -61,26 +57,6 @@ class FitResult:
             "n_effective": self.n_effective,
             "dropped": self.dropped,
         }
-
-
-def _boundary_loglik(w: np.ndarray, side: float) -> float:
-    """Constant-free log-likelihood at an endpoint, moved inward by
-    :func:`fgmexp.model.endpoint` when that endpoint is a pole."""
-    return log_likelihood_weights(w, model.endpoint(w, side))
-
-
-def _one_group(eff: np.ndarray) -> bool:
-    """Whether the shifts 1/eff are all one group, as
-    :func:`fgmexp.mldegree.profile` groups floats."""
-    # A power of two taking the largest |w| into [0.5, 1] scales every
-    # shift and its relative grouping tolerance exactly, so the groups are
-    # those of 1/eff, yet tiny equal weights do not overflow.  A shift
-    # that still overflows is over 2**1023 times another: they cannot be
-    # one group.
-    scaled = np.ldexp(eff, -min(int(np.frexp(np.abs(eff).max())[1]), 0))
-    with np.errstate(over="ignore"):
-        c = 1.0 / scaled
-    return bool(np.isfinite(c).all()) and mldegree.profile(c).p == 1
 
 
 def fit_from_weights(weights: Sequence[float]) -> FitResult:
@@ -101,41 +77,21 @@ def fit_from_weights(weights: Sequence[float]) -> FitResult:
         )
     root = roots.score_root_from_weights(eff)
     if root is not None:
-        return FitResult(
-            theta_hat=root,
-            loglik=log_likelihood_weights(eff, root),
-            at_boundary=False,
-            interior_root=root,
-            n_effective=n_eff,
-            dropped=dropped,
-        )
-    # no interior root; equal shifts share one sign, so their score never
-    # changes sign, and they always land here.  Shifts of opposite signs
-    # are at least 2 apart and never one group, so only a one-signed
-    # vector is grouped.
-    if np.count_nonzero(eff > 0.0) in (0, n_eff) and _one_group(eff):
-        # monotone likelihood: boundary by the sign of the common value
-        theta = 1.0 if eff[0] > 0.0 else -1.0
-        return FitResult(
-            theta_hat=theta,
-            loglik=_boundary_loglik(eff, theta),
-            at_boundary=True,
-            interior_root=None,
-            n_effective=n_eff,
-            dropped=dropped,
-        )
-    ll_neg = _boundary_loglik(eff, -1.0)
-    ll_pos = _boundary_loglik(eff, 1.0)
-    tie = ll_neg == ll_pos
-    theta = -1.0 if ll_neg > ll_pos else 1.0
+        theta, loglik = root, log_likelihood_weights(eff, root)
+    else:
+        # each log(1 + theta w_i) is strictly concave, so a score with no
+        # zero in (-1, 1) keeps the sign it has at 0 and the likelihood
+        # rises toward that endpoint; that sign is never 0 here, as the
+        # search returns 0.0 for a zero sum
+        theta = 1.0 if eff.sum() > 0.0 else -1.0
+        loglik = log_likelihood_weights(eff, model.endpoint(eff, theta))
     return FitResult(
         theta_hat=theta,
-        loglik=ll_neg if theta < 0 else ll_pos,
-        at_boundary=True,
-        interior_root=None,
+        loglik=loglik,
+        at_boundary=root is None,
+        interior_root=root,
         n_effective=n_eff,
         dropped=dropped,
-        tie_broken=tie,
     )
 
 
@@ -144,10 +100,8 @@ def fit(data: Dataset) -> FitResult:
 
     Degenerate observations are dropped first (their score terms vanish
     identically).  A sign change of the score yields the unique interior
-    root.  Failing that, if all remaining shift values are equal
-    (grouped as :func:`fgmexp.mldegree.profile` groups floats), the
-    result is the boundary matching the sign of the common value;
-    otherwise the endpoint with the larger log-likelihood wins, ties
-    broken toward +1 and flagged.
+    root.  Failing that, the likelihood is monotone and the result is
+    the boundary +1 when the remaining weights sum to a positive value,
+    -1 when they sum to a negative one.
     """
     return fit_from_weights(data.weights)

@@ -130,10 +130,7 @@ class Poly:
         """
         if self.kind == RATIONAL:
             if not isinstance(t, (Fraction, int, np.integer)):
-                raise ScalarModeError(
-                    "rational polynomial evaluated at non-rational point; "
-                    "convert with to_float() first"
-                )
+                raise ScalarModeError("rational polynomial evaluated at non-rational point")
         elif not isinstance(t, (float, complex, int, np.floating, np.complexfloating)):
             raise ScalarModeError(f"cannot evaluate float polynomial at {type(t).__name__}")
         acc = Fraction(0) if self.kind == RATIONAL else 0.0
@@ -152,25 +149,6 @@ class Poly:
             raise ValueError("the zero polynomial has no monic form")
         lead = self.coeffs[-1]
         return Poly([c / lead for c in self.coeffs], self.kind)
-
-    def to_float(self) -> "Poly":
-        return Poly(tuple(float(c) for c in self.coeffs), FLOAT)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        if self.kind == RATIONAL:
-            coeffs = [str(c) for c in self.coeffs]
-        else:
-            coeffs = list(self.coeffs)
-        return {"scalar_kind": self.kind, "coeffs": coeffs}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Poly":
-        kind = doc["scalar_kind"]
-        if kind == RATIONAL:
-            return cls(tuple(Fraction(c) for c in doc["coeffs"]), RATIONAL)
-        return cls(tuple(float(c) for c in doc["coeffs"]), FLOAT)
 
 
 def _check_cvalues(c: Sequence) -> tuple[list, str]:

@@ -63,16 +63,6 @@ class RootSet:
     def total_multiplicity(self) -> int:
         return sum(self.multiplicities)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "roots": [
-                {"re": z.real, "im": z.imag, "mult": m}
-                for z, m in zip(self.roots, self.multiplicities)
-            ],
-            "residuals": list(self.residuals),
-            "converged": self.converged,
-        }
-
 
 def _backward_error(p: Poly, z: complex) -> float:
     num = abs(p.eval(complex(z)))
@@ -114,7 +104,7 @@ def complex_roots(p: Poly) -> RootSet:
     multiplicity.
     """
     if p.kind != FLOAT:
-        raise ScalarModeError("complex_roots requires a float polynomial; use to_float()")
+        raise ScalarModeError("complex_roots requires a float polynomial")
     if p.is_zero or p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     try:

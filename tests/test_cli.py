@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -229,6 +230,17 @@ class TestVerify:
             (t, check) for t in range(5)
             for check in ("common-zero-iff-repeat", "ml-degree-formula-vs-algebraic")
         ]
+
+    def test_wrong_multiplicity_fails_once_per_repeated_value(self, monkeypatch):
+        # each repeated shift is checked at its common zero and reported
+        # by the shift itself, with the multiplicity its group implies
+        monkeypatch.setattr(polynomials, "root_multiplicity", lambda h, z: 0)
+        campaign = run_campaign(5, 8, 3, patterns=[(2, 3)])
+        assert campaign.checks_run == 5
+        assert [f["check"] for f in campaign.failures] == ["repeated-shift-multiplicity"] * 10
+        for failure in campaign.failures:
+            value, mult = re.fullmatch(r"value (\S+): multiplicity 0 != (\d+)", failure["detail"]).groups()
+            assert failure["c"].count(value) == int(mult) + 1
 
     def test_one_gcd_per_checked_trial(self, monkeypatch):
         calls = []

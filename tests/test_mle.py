@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fgmexp import mldegree, model, roots
 from fgmexp.mle import FitResult, NoDataError, fit, fit_from_weights
@@ -131,57 +133,92 @@ def test_weights_are_checked_once_per_fit(monkeypatch, w):
 
 
 class TestGrouping:
-    """Only a one-signed boundary fit asks whether all shifts are equal:
-    shifts of opposite signs are at least 2 apart and never one group."""
+    """No fit groups its shifts, all-equal inputs included: without an
+    interior root the sign of the weights' sum picks the endpoint."""
 
-    def test_mixed_sign_boundary_fit_does_not_group(self, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def refuse_grouping(self, monkeypatch):
         def refuse(c):
-            raise AssertionError("grouped the shifts of a mixed-sign vector")
+            raise AssertionError("a fit grouped its shifts")
 
         monkeypatch.setattr(mldegree, "profile", refuse)
+
+    def test_mixed_sign_boundary_fit_does_not_group(self):
         for w in ([0.9, -0.1], [1.0, -0.2], [-0.9, 0.1, 0.05]):
-            res = fit_from_weights(w)
-            assert res.at_boundary and not res.tie_broken
+            assert fit_from_weights(w).at_boundary
         assert fit_from_weights([0.9, -0.1]).theta_hat == 1.0
         assert fit_from_weights([-0.9, 0.1, 0.05]).theta_hat == -1.0
 
-    def test_all_equal_fit_groups(self, monkeypatch):
-        calls = []
-        real = mldegree.profile
-        monkeypatch.setattr(mldegree, "profile", lambda c: calls.append(1) or real(c))
+    def test_all_equal_fit_does_not_group(self):
         assert fit_from_weights([0.3] * 4).theta_hat == 1.0
         assert fit_from_weights([-0.3] * 4).theta_hat == -1.0
-        assert len(calls) == 2
+        assert fit_from_weights([1e-310] * 3).theta_hat == 1.0
+        assert fit_from_weights([-1.0] * 2).theta_hat == -1.0
 
 
 class TestTinyWeights:
-    """Weights whose shifts 1/w overflow a float."""
+    """Weights so small that their shifts 1/w overflow a float, or that
+    both endpoint logliks round to the same value."""
 
-    @pytest.mark.parametrize("w,theta,tie", [
-        ([1e-310, 0.5], 1.0, False),
-        ([-1e-310, -0.5], -1.0, False),
-        ([1e-310] * 3, 1.0, False),  # all equal
-        ([-1e-310] * 3, -1.0, False),  # all equal
-        ([5e-324, 1e-323], 1.0, True),  # shifts a factor 2 apart, endpoints tie
+    @pytest.mark.parametrize("w,theta", [
+        ([1e-310, 0.5], 1.0),
+        ([-1e-310, -0.5], -1.0),
+        ([1e-310] * 3, 1.0),  # all equal
+        ([-1e-310] * 3, -1.0),  # all equal
+        ([5e-324, 1e-323], 1.0),  # shifts a factor 2 apart
+        # both endpoint logliks round to 0.0, but sum(log1p(theta w)) is
+        # +3e-20 at -1 and -3e-20 at +1
+        ([-1e-20, -2e-20], -1.0),
     ])
-    def test_fit_at_the_boundary_without_a_warning(self, w, theta, tie):
+    def test_fit_at_the_boundary_without_a_warning(self, w, theta):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = fit_from_weights(w)
-        assert (res.theta_hat, res.at_boundary, res.tie_broken) == (theta, True, tie)
+        assert (res.theta_hat, res.at_boundary) == (theta, True)
         assert res.loglik == log_likelihood_weights(np.array(w), theta)
 
     def test_grouping_matches_the_unscaled_shifts(self):
-        # negative weights this small tie at the endpoints (both logliks
-        # are 0), so theta reads the all-equal decision: -1 when the
-        # shifts form one group, +1 by the tie otherwise
+        # chains of negative weights this small, whose shifts form one
+        # group or several, all have a negative score on (-1, 1): each
+        # fits -1
         rng = np.random.default_rng(97)
         for _ in range(400):
             base = -10.0 ** rng.uniform(-300, -17)
             gaps = 1e-9 * (1.0 + rng.uniform(-1e-6, 1e-6, size=int(rng.integers(1, 4))))
             w = base * np.cumprod(np.concatenate(([1.0], 1.0 + gaps)))
-            one_group = mldegree.profile(1.0 / w).p == 1
-            assert fit_from_weights(w).theta_hat == (-1.0 if one_group else 1.0)
+            assert fit_from_weights(w).theta_hat == -1.0
+
+
+def _scaled_weights(sign):
+    """Weight vectors in [-1, 1] scaled by 2**-k, k up to 1100, so that
+    they run from order one down to subnormal; ``sign`` +1 or -1 makes
+    them one-signed, 0 lets the signs mix."""
+    low = -1.0 if sign == 0 else 0.0
+    direction = st.lists(st.floats(low, 1.0), min_size=1, max_size=8)
+    return st.builds(
+        lambda v, k: np.ldexp((sign or 1.0) * np.array(v), -k),
+        direction,
+        st.integers(0, 1100),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_scaled_weights(1), _scaled_weights(-1), _scaled_weights(0)))
+def test_boundary_fit_takes_the_endpoint_the_sum_points_to(w):
+    assume(np.any(w))
+    res = fit_from_weights(w)
+    assume(res.at_boundary)
+    assert res.theta_hat == (1.0 if w[w != 0.0].sum() > 0.0 else -1.0)
+    neg = fit_from_weights(-w)
+    assert (neg.theta_hat, neg.at_boundary) == (-res.theta_hat, True)
+    # the larger endpoint loglik, up to the rounding error of sum(w),
+    # which only a sum cancelled below it can reach; a weight of -+1
+    # makes the other endpoint -inf
+    with np.errstate(divide="ignore"):
+        mine = math.fsum(np.log1p(res.theta_hat * w))
+        other = math.fsum(np.log1p(-res.theta_hat * w))
+    slack = 4.0 * (w.size + 1) * np.finfo(float).eps * math.fsum(np.abs(w))
+    assert mine >= other - slack
 
 
 class TestEquivariance:

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import struct
 from fractions import Fraction
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from fgmexp import polynomials
 from fgmexp.polynomials import (
     FLOAT,
-    RATIONAL,
     Poly,
     ScalarModeError,
     build_h,
@@ -128,19 +126,6 @@ class TestPoly:
         assert Poly((F(-8), F(-2), F(1))).derivative().coeffs == (F(-2), F(2))
         assert Poly((F(7),)).derivative().is_zero
         assert Poly((F(2), F(5), F(4), F(1))).derivative().coeffs == (F(5), F(8), F(3))
-
-    def test_json_round_trip_rational(self):
-        p = Poly((F(1, 3), F(-2), F(5)))
-        doc = p.to_json_dict()
-        assert doc["scalar_kind"] == RATIONAL
-        assert doc["coeffs"] == ["1/3", "-2", "5"]
-        assert Poly.from_json_dict(json.loads(json.dumps(doc))) == p
-
-    def test_json_round_trip_float(self):
-        p = Poly((0.5, -2.0), FLOAT)
-        doc = json.loads(json.dumps(p.to_json_dict()))
-        assert doc["coeffs"] == [0.5, -2.0]
-        assert Poly.from_json_dict(doc) == p
 
 
 def loop_build_k(c, one):

@@ -88,12 +88,6 @@ class TestComplexRoots:
         with pytest.raises(ValueError):
             complex_roots(Poly((3.0,), FLOAT))
 
-    def test_json_shape(self):
-        doc = complex_roots(Poly((1.0, 2.0, 1.0), FLOAT)).to_json_dict()
-        assert doc["converged"] is True
-        assert doc["roots"][0].keys() == {"re", "im", "mult"}
-        assert len(doc["residuals"]) == len(doc["roots"])
-
 
 class TestScoreRoot:
     def test_antisymmetric_weights_give_zero(self):
