@@ -266,7 +266,7 @@ def cmd_mldegree(args) -> int:
                     "mode": mode,
                     "n": exc.n,
                     "all_equal": True,
-                    "boundary_mle": 1 if exc.value > 0 else -1,
+                    "boundary_mle": exc.boundary_mle,
                     "message": str(exc),
                 },
                 args.pretty,

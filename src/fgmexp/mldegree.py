@@ -15,12 +15,13 @@ formula is cross-checked against an independent algebraic route,
 deg h - deg gcd(h, k), over exact rationals.
 
 When every shift value is equal the cleared score equation collapses and
-the count is undefined; that case raises :class:`AllEqualError` and is
-owned by the boundary logic in :mod:`fgmexp.mle`.
+the count is undefined; that case raises :class:`AllEqualError`, which
+carries the boundary maximizer in its ``boundary_mle``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -50,42 +51,53 @@ class AllEqualError(ValueError):
     """All shift values coincide: the cleared score equation is invalid.
 
     The likelihood is then (1 + theta/c)^n, monotone in theta, and the
-    maximizer sits at the boundary: +1 for c > 0, -1 for c < 0.
+    maximizer sits at the boundary ``boundary_mle``: +1 for c > 0, -1
+    for c < 0.
     """
 
     def __init__(self, value, n: int):
         self.value = value
         self.n = n
+        self.boundary_mle = 1 if value > 0 else -1
         super().__init__(
             f"all {n} shift values equal {value}; no ML-degree is defined and "
-            f"the boundary MLE rule applies (theta = {1 if value > 0 else -1})"
+            f"the boundary MLE rule applies (theta = {self.boundary_mle})"
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplicityProfile:
-    """Grouping of the shift values by equality.
+    """Grouping of the shift values by equality, as two columns.
 
-    ``groups`` holds (representative value, multiplicity) pairs in order
-    of first appearance.  Derived counts: ``p`` distinct values, ``l``
-    groups of size > 1, and ``m`` the total size of those groups.
+    ``values`` holds one representative per group (Fractions in exact
+    mode, floats in approximate mode) and ``mults`` the group sizes as a
+    read-only int64 array, both in order of first appearance.  Derived
+    counts: ``n`` values, ``p`` distinct values, ``l`` groups of size
+    > 1, and ``m`` the total size of those groups.
     """
 
-    n: int
-    groups: tuple[tuple, ...]
+    values: list
+    mults: np.ndarray
     mode: str  # "exact" | "approx"
+
+    def __post_init__(self):
+        self.mults.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return int(self.mults.sum())
 
     @property
     def p(self) -> int:
-        return len(self.groups)
+        return len(self.values)
 
     @property
     def l(self) -> int:
-        return sum(1 for _, mult in self.groups if mult > 1)
+        return int(np.count_nonzero(self.mults > 1))
 
     @property
     def m(self) -> int:
-        return sum(mult for _, mult in self.groups if mult > 1)
+        return int(self.mults[self.mults > 1].sum())
 
 
 def profile(c: Sequence) -> MultiplicityProfile:
@@ -100,14 +112,11 @@ def profile(c: Sequence) -> MultiplicityProfile:
     if len(values) == 0:
         raise ValueError("need at least one shift value")
     if polynomials.scalar_kind(values) == polynomials.RATIONAL:
-        exact_values = [Fraction(v) for v in values]
-        if any(v == 0 for v in exact_values):
+        counts = Counter(map(Fraction, values))
+        if 0 in counts:
             raise ValueError("shift values must be nonzero")
-        counts: dict[Fraction, int] = {}
-        for v in exact_values:
-            counts[v] = counts.get(v, 0) + 1
-        groups = tuple(counts.items())
-        return MultiplicityProfile(len(values), groups, "exact")
+        mults = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+        return MultiplicityProfile(list(counts), mults, "exact")
     if isinstance(values, np.ndarray):
         fl = np.asarray(values, dtype=float)
     else:
@@ -125,8 +134,7 @@ def profile(c: Sequence) -> MultiplicityProfile:
     # representative = first-appearing member, groups in first-appearance order
     first = np.minimum.reduceat(order, starts)
     by_first = np.argsort(first)
-    groups = tuple(zip(fl[first[by_first]].tolist(), mults[by_first].tolist()))
-    return MultiplicityProfile(len(values), groups, "approx")
+    return MultiplicityProfile(fl[first[by_first]].tolist(), mults[by_first], "approx")
 
 
 def common_zeros(prof: MultiplicityProfile) -> tuple[tuple, ...]:
@@ -137,7 +145,8 @@ def common_zeros(prof: MultiplicityProfile) -> tuple[tuple, ...]:
     groups contribute nothing, so the tuple is empty exactly when all
     shift values are distinct.
     """
-    return tuple((-v, mult - 1) for v, mult in prof.groups if mult >= 2)
+    repeated = np.flatnonzero(prof.mults > 1).tolist()
+    return tuple((-prof.values[i], int(prof.mults[i]) - 1) for i in repeated)
 
 
 def ml_degree_formula(prof: MultiplicityProfile) -> int:
@@ -148,7 +157,7 @@ def ml_degree_formula(prof: MultiplicityProfile) -> int:
     :class:`AllEqualError`; the boundary MLE rule applies there instead.
     """
     if prof.p == 1 and prof.n >= 2:
-        raise AllEqualError(prof.groups[0][0], prof.n)
+        raise AllEqualError(prof.values[0], prof.n)
     return prof.n + prof.l - prof.m - 1
 
 
@@ -190,6 +199,8 @@ def ml_degree_report(c: Sequence) -> dict:
     generic continuous data has no repeats at all.
     Raises :class:`AllEqualError` for the excluded all-equal case.
     """
+    if not isinstance(c, np.ndarray):
+        c = list(c)  # read once: both routes below consume it
     prof = profile(c)
     md = ml_degree_formula(prof)
     doc = {
@@ -205,7 +216,7 @@ def ml_degree_report(c: Sequence) -> dict:
         "mode": prof.mode,
     }
     if prof.mode == "exact":
-        alg = ml_degree_algebraic(list(c))
+        alg = ml_degree_algebraic(c)
         doc["oracle"] = {
             "formula": md,
             "algebraic": alg,

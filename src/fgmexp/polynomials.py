@@ -4,14 +4,14 @@ The cleared score equation of the model is a ratio of two polynomials in
 the association parameter: a denominator that is the product of the
 linear factors (theta + c_i), and a numerator that is its formal
 derivative.  This module builds both, and provides the polynomial
-arithmetic (evaluation, derivative, exact gcd, exact division) that the
+arithmetic (evaluation, derivative, exact gcd, multiplicity) that the
 ML-degree computations rest on.
 
 Two scalar kinds are supported and never mixed silently:
 
 * ``"rational"`` -- arbitrary-precision ``fractions.Fraction``; the
-  source of truth for all algebraic statements (gcd, exact division,
-  multiplicity counting).
+  source of truth for all algebraic statements (gcd, multiplicity
+  counting).
 * ``"float"`` -- double precision; used for measured data, where only
   evaluation and numerical root finding are meaningful.
 
@@ -46,7 +46,6 @@ __all__ = [
     "build_h",
     "build_k",
     "gcd",
-    "divmod_exact",
     "root_multiplicity",
     "parse_rational",
 ]
@@ -207,27 +206,6 @@ def build_h(c: Sequence) -> Poly:
     degree is exactly n-1 and the leading coefficient is n.
     """
     return build_k(c).derivative()
-
-
-def divmod_exact(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Polynomial long division over the rationals; returns (quotient, remainder)."""
-    if a.kind != RATIONAL or b.kind != RATIONAL:
-        raise ScalarModeError("exact division requires rational scalars")
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    db = len(b.coeffs) - 1
-    lead = b.coeffs[-1]
-    if len(rem) - 1 < db:
-        return Poly((), RATIONAL), a
-    quot = [Fraction(0)] * (len(rem) - db)
-    for k in range(len(rem) - 1 - db, -1, -1):
-        q = rem[k + db] / lead
-        quot[k] = q
-        if q:
-            for j in range(db + 1):
-                rem[k + j] -= q * b.coeffs[j]
-    return Poly(tuple(quot), RATIONAL), Poly(tuple(rem[:db]), RATIONAL)
 
 
 # The 64 largest primes below 2**61 (2**61 - 1 is a Mersenne prime),

@@ -134,6 +134,41 @@ def test_output_matches_golden_hash(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _repeated_groups_csv(path):
+    """A seeded sample with copies of rows 7, 2, 2 and 5 appended, so
+    rows 2, 5 and 7 form groups of sizes 3, 2 and 2 whose first
+    appearances are not in the order of their shift values."""
+    assert main(["sample", "--n", "200", "--theta", "0.3", "--seed", "42", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines(keepends=True)
+    rows = lines[1:]
+    path.write_text("".join(lines + [rows[7], rows[2], rows[2], rows[5]]))
+
+
+def _all_equal_csv(path):
+    path.write_text("x,y\n0.1,0.2\n0.1,0.2\n0.1,0.2\n")
+
+
+# digests of the compact JSON on stdout, taken before the multiplicity
+# profile became two columns
+@pytest.mark.parametrize("make,sub,digest", [
+    (_repeated_groups_csv, "fit",
+     "52a12bd4fa5f1a7b8b94389579be5f253653d05636e91f58c4029adb3af76480"),
+    (_repeated_groups_csv, "mldegree",
+     "1804835492a7f66caa4e7a02b4d6aef98a8b71c15a4bec74723742e5474e35e2"),
+    (_all_equal_csv, "fit",
+     "d6ee8a9eb38f00f73db8fde18af25d426bddf4172c1aafde8973dd33dd53099d"),
+    (_all_equal_csv, "mldegree",
+     "cfb3b4564ae7fcdb0b0dc3ce27ecbfe2bb3fb9f5d452cfed3fb7e910836ea497"),
+])
+def test_dataset_output_matches_golden_hash(tmp_path, capsys, make, sub, digest):
+    path = tmp_path / "d.csv"
+    make(path)
+    capsys.readouterr()
+    assert main([sub, "--in", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestMlDegree:
     def test_worked_example(self, capsys):
         code, doc = run_cli(capsys, "mldegree", "--c", "1", "1", "2")

@@ -44,8 +44,16 @@ class TestProfile:
     def test_worked_example(self):
         prof = profile([F(1), F(1), F(2)])
         assert (prof.n, prof.p, prof.l, prof.m) == (3, 2, 1, 2)
-        assert prof.groups == ((F(1), 2), (F(2), 1))
+        assert list(zip(prof.values, prof.mults)) == [(F(1), 2), (F(2), 1)]
         assert prof.mode == "exact"
+
+    @pytest.mark.parametrize("c,kind", [([F(1), F(1), F(2)], F), ([2.0, 2.0, 3.0], float)])
+    def test_columns(self, c, kind):
+        prof = profile(c)
+        assert all(type(v) is kind for v in prof.values)
+        assert prof.mults.dtype == np.int64
+        with pytest.raises(ValueError):
+            prof.mults[0] = 1
 
     def test_all_distinct(self):
         prof = profile([F(2), F(-4)])
@@ -81,12 +89,12 @@ class TestProfile:
 
     def test_group_order_is_first_appearance(self):
         prof = profile([F(7), F(2), F(7), F(1)])
-        assert [v for v, _ in prof.groups] == [F(7), F(2), F(1)]
+        assert prof.values == [F(7), F(2), F(1)]
 
 
 def loop_profile_groups(values):
     """The per-element loop the vectorised approximate profile replaced,
-    kept as its oracle: (representative, multiplicity) pairs."""
+    kept as its oracle: a list of (representative, multiplicity) pairs."""
     fl = np.asarray([float(v) for v in values], dtype=float)
     order = np.argsort(fl, kind="stable")
     cluster_of = np.empty(len(fl), dtype=int)
@@ -109,7 +117,7 @@ def loop_profile_groups(values):
             members[cl] = 0
         members[cl] += 1
     ordered = sorted(seen.items(), key=lambda kv: kv[1])
-    return tuple((float(fl[first]), members[cl]) for cl, first in ordered)
+    return [(float(fl[first]), members[cl]) for cl, first in ordered]
 
 
 def chain(start, count, rel_gap):
@@ -159,14 +167,14 @@ class TestApproxProfileMatchesLoop:
     def test_table(self, values):
         for order in (values, values[::-1]):
             want = loop_profile_groups(order)
-            assert profile(order).groups == want
-            assert profile(np.array(order)).groups == want
+            for prof in (profile(order), profile(np.array(order))):
+                assert list(zip(prof.values, prof.mults)) == want
 
     @settings(max_examples=300, deadline=None)
     @given(values=adversarial_shifts())
     def test_generated(self, values):
         prof = profile(values)
-        assert prof.groups == loop_profile_groups(values)
+        assert list(zip(prof.values, prof.mults)) == loop_profile_groups(values)
         assert prof.n == len(values)
 
 
@@ -177,7 +185,7 @@ class TestScalarKind:
         assert polynomials.scalar_kind(mixed) is None
         prof = profile(mixed)
         assert prof.mode == "approx"
-        assert prof.groups == ((0.5, 2), (3.0, 1))
+        assert list(zip(prof.values, prof.mults)) == [(0.5, 2), (3.0, 1)]
         with pytest.raises(ScalarModeError):
             build_k(mixed)
 
@@ -185,7 +193,8 @@ class TestScalarKind:
         assert polynomials.scalar_kind(np.array([2, 2, 3])) == polynomials.RATIONAL
         assert polynomials.scalar_kind(np.array([2.0, 3.0])) == polynomials.FLOAT
         assert polynomials.scalar_kind(np.array([2.0], dtype=np.float32)) == polynomials.FLOAT
-        assert profile(np.array([2, 2, 3])).groups == ((F(2), 2), (F(3), 1))
+        prof = profile(np.array([2, 2, 3]))
+        assert list(zip(prof.values, prof.mults)) == [(F(2), 2), (F(3), 1)]
         assert profile(np.array([2.0, 2.0, 3.0])).mode == "approx"
 
 
@@ -225,6 +234,14 @@ class TestMlDegreeFormula:
             ml_degree_formula(profile([F(3), F(3), F(3)]))
         assert err.value.value == F(3)
         assert err.value.n == 3
+        assert err.value.boundary_mle == 1
+        assert "(theta = 1)" in str(err.value)
+
+    def test_all_equal_negative_boundary(self):
+        with pytest.raises(AllEqualError) as err:
+            ml_degree_formula(profile([-2.5, -2.5]))
+        assert err.value.boundary_mle == -1
+        assert "(theta = -1)" in str(err.value)
 
     def test_full_repetition_with_two_groups_is_at_least_one(self):
         # m = n forces l >= 2 and the count l - 1 >= 1
@@ -297,13 +314,14 @@ class TestMlDegreeAlgebraic:
     def test_gcd_nonconstant_iff_repeats(self, c):
         g = gcd(build_h(c), build_k(c))
         prof = profile(c)
-        assert (g.degree >= 1) == any(m >= 2 for _, m in prof.groups)
+        assert (g.degree >= 1) == any(m >= 2 for m in prof.mults)
 
     @given(repeated_multisets())
     @settings(max_examples=50, deadline=None)
     def test_repeated_value_multiplicity_in_h(self, c):
         h = build_h(c)
-        for value, mult in profile(c).groups:
+        prof = profile(c)
+        for value, mult in zip(prof.values, prof.mults):
             if mult >= 2:
                 assert polynomials.root_multiplicity(h, -value) == mult - 1
 
@@ -322,6 +340,10 @@ class TestReport:
         assert doc["mode"] == "approx"
         assert doc["ml_degree"] == 2
         assert "caveat" in doc
+
+    @pytest.mark.parametrize("c", [[F(1), F(1), F(2)], [2.0, 2.0, 3.0]])
+    def test_reads_an_iterator_once(self, c):
+        assert ml_degree_report(iter(c)) == ml_degree_report(c)
 
     def test_all_equal_propagates(self):
         with pytest.raises(AllEqualError):

@@ -16,7 +16,6 @@ from fgmexp.polynomials import (
     ScalarModeError,
     build_h,
     build_k,
-    divmod_exact,
     gcd,
     parse_rational,
     root_multiplicity,
@@ -232,26 +231,6 @@ class TestBuildH:
         assert h.leading_coefficient == len(c)
 
 
-class TestDivmod:
-    @given(c_lists(6), c_lists(4))
-    @settings(max_examples=40)
-    def test_division_identity(self, ca, cb):
-        a, b = build_k(ca), build_k(cb)
-        q, r = divmod_exact(a, b)
-        # a == q*b + r with deg r < deg b, checked by evaluation at several points
-        for t in (F(0), F(1), F(-3), F(7, 2)):
-            assert a.eval(t) == q.eval(t) * b.eval(t) + r.eval(t)
-        assert r.is_zero or r.degree < b.degree
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            divmod_exact(Poly((F(1),)), Poly(()))
-
-    def test_rejects_float_mode(self):
-        with pytest.raises(ScalarModeError):
-            divmod_exact(Poly((1.0, 1.0), FLOAT), Poly((1.0,), FLOAT))
-
-
 class TestGcd:
     def test_repeated_shift_gives_common_factor(self):
         h = build_h([F(1), F(1), F(2)])
@@ -383,11 +362,12 @@ class TestRootMultiplicity:
         # h has the root -v once less often than v occurs in c; the scale
         # gives p a leading coefficient and content other than 1
         p = Poly(tuple(scale * x for x in build_h(c).coeffs))
+        t = sympy.Symbol("t")
         for r in {-v for v in c} | {scale, F(0)}:
-            q, count = p, 0
-            factor = Poly((-r, F(1)))
+            q, count = sympy.Poly(to_sympy(p, t), t, domain=sympy.QQ), 0
+            factor = sympy.Poly(t - sympy.Rational(r.numerator, r.denominator), t, domain=sympy.QQ)
             while True:
-                quot, rem = divmod_exact(q, factor)
+                quot, rem = sympy.div(q, factor)
                 if not rem.is_zero:
                     break
                 q, count = quot, count + 1
