@@ -22,7 +22,7 @@ carries the boundary maximizer in its ``boundary_mle``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -72,32 +72,33 @@ class MultiplicityProfile:
     ``values`` holds one representative per group (Fractions in exact
     mode, floats in approximate mode) and ``mults`` the group sizes as a
     read-only int64 array, both in order of first appearance.  Derived
-    counts: ``n`` values, ``p`` distinct values, ``l`` groups of size
-    > 1, and ``m`` the total size of those groups.
+    counts, taken once at construction: ``n`` values, ``p`` distinct
+    values, ``l`` groups of size > 1, and ``m`` the total size of those
+    groups.
     """
 
     values: list
     mults: np.ndarray
     mode: str  # "exact" | "approx"
+    n: int = field(init=False)
+    l: int = field(init=False)
+    m: int = field(init=False)
+    # (index, size) of each group of size > 1, in group order
+    _repeated: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.mults.flags.writeable = False
-
-    @property
-    def n(self) -> int:
-        return int(self.mults.sum())
+        # a fixed number of numpy calls, whatever the number of groups
+        index = np.flatnonzero(self.mults > 1)
+        sizes = self.mults[index].tolist()
+        object.__setattr__(self, "n", int(self.mults.sum()))
+        object.__setattr__(self, "l", len(sizes))
+        object.__setattr__(self, "m", sum(sizes))
+        object.__setattr__(self, "_repeated", tuple(zip(index.tolist(), sizes)))
 
     @property
     def p(self) -> int:
         return len(self.values)
-
-    @property
-    def l(self) -> int:
-        return int(np.count_nonzero(self.mults > 1))
-
-    @property
-    def m(self) -> int:
-        return int(self.mults[self.mults > 1].sum())
 
 
 def profile(c: Sequence) -> MultiplicityProfile:
@@ -112,11 +113,14 @@ def profile(c: Sequence) -> MultiplicityProfile:
     if len(values) == 0:
         raise ValueError("need at least one shift value")
     if polynomials.scalar_kind(values) == polynomials.RATIONAL:
-        counts = Counter(map(Fraction, values))
+        # an int and the Fraction equal to it hash alike and share a key,
+        # so only keys that are integers need converting
+        counts = Counter(values)
         if 0 in counts:
             raise ValueError("shift values must be nonzero")
         mults = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-        return MultiplicityProfile(list(counts), mults, "exact")
+        reps = [v if isinstance(v, Fraction) else Fraction(int(v)) for v in counts]
+        return MultiplicityProfile(reps, mults, "exact")
     if isinstance(values, np.ndarray):
         fl = np.asarray(values, dtype=float)
     else:
@@ -145,8 +149,7 @@ def common_zeros(prof: MultiplicityProfile) -> tuple[tuple, ...]:
     groups contribute nothing, so the tuple is empty exactly when all
     shift values are distinct.
     """
-    repeated = np.flatnonzero(prof.mults > 1).tolist()
-    return tuple((-prof.values[i], int(prof.mults[i]) - 1) for i in repeated)
+    return tuple((-prof.values[i], size - 1) for i, size in prof._repeated)
 
 
 def ml_degree_formula(prof: MultiplicityProfile) -> int:
@@ -177,9 +180,11 @@ def ml_degree_algebraic(c: Sequence) -> int:
 def _algebraic_count_and_h(values: list) -> tuple[int, polynomials.Poly]:
     """:func:`ml_degree_algebraic`'s count together with the h = k' it
     built, for callers that also need h."""
-    if polynomials.scalar_kind(values) != polynomials.RATIONAL:
+    # build_k checks every value and rejects a mixture of kinds, so the
+    # kind of the first value is the kind of all
+    if values and not isinstance(values[0], (Fraction, int, np.integer)):
         raise ScalarModeError("exact mode requires rational (Fraction/int) values")
-    k = polynomials.build_k(values)  # rejects no values and zero values
+    k = polynomials.build_k(values)  # rejects no values, zero values and mixtures
     if len(values) >= 2 and all(v == values[0] for v in values):
         raise AllEqualError(Fraction(values[0]), len(values))
     h = k.derivative()

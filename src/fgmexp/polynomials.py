@@ -15,23 +15,29 @@ Two scalar kinds are supported and never mixed silently:
 * ``"float"`` -- double precision; used for measured data, where only
   evaluation and numerical root finding are meaningful.
 
-The exact operations work on integers.  :func:`gcd` clears both inputs
-to primitive integer polynomials and computes their gcd modulo a fixed
-sequence of 61-bit primes (Brown's multi-prime algorithm), combining the
-monic images by Chinese remaindering and rational reconstruction.  The
-result is exact, not probable: a prime that divides neither leading
-coefficient gives an image whose degree bounds the degree of the true
-gcd from above, and a candidate of that degree is returned only after it
-divides both inputs exactly over the integers, which makes it a common
-divisor of the largest possible degree.  :func:`build_k` multiplies the
-integer factors (d_i theta + n_i) of the shifts n_i/d_i and divides once
-at the end; :func:`root_multiplicity` deflates by synthetic division.
+The exact operations work on integers from start to finish.  A rational
+polynomial is held as a primitive integer vector times a rational scale,
+and the Fraction coefficients are built only when a caller reads them.
+:func:`build_k` multiplies the integer factors (d_i theta + n_i) of the
+shifts n_i/d_i; each factor is primitive, so by Gauss's lemma so is the
+product, and h = k' is its integer derivative divided by its content.
+:func:`gcd` takes the gcd of two such vectors modulo a fixed sequence of
+primes below 2**30 (Brown's multi-prime algorithm), so that a residue is
+one digit of a CPython integer and a product of two stays below 2**60,
+and combines the monic images by Chinese remaindering and rational
+reconstruction.  The result is exact, not probable: a prime that divides
+neither leading coefficient gives an image whose degree bounds the
+degree of the true gcd from above, and a candidate of that degree is
+returned only after it divides both inputs exactly over the integers,
+which makes it a common divisor of the largest possible degree.
+:func:`root_multiplicity` deflates the integer vector by synthetic
+division.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -74,49 +80,78 @@ def scalar_kind(values: Sequence) -> str | None:
     is decided by its dtype."""
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "fiu":
         return FLOAT if values.dtype.kind == "f" else RATIONAL
-    if all(isinstance(v, (Fraction, int, np.integer)) for v in values):
+    # one pass at C speed; the Python test runs once per distinct type
+    types = set(map(type, values))
+    if all(issubclass(t, (Fraction, int, np.integer)) for t in types):
         return RATIONAL
-    if all(isinstance(v, (float, np.floating)) for v in values):
+    if all(issubclass(t, (float, np.floating)) for t in types):
         return FLOAT
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Poly:
     """Immutable univariate polynomial, coefficients in ascending degree.
 
     The zero polynomial is canonically the empty coefficient tuple and
     has degree ``-inf``.  Nonzero polynomials never carry trailing zero
     coefficients, so ``coeffs[-1]`` is the leading coefficient.
+
+    A rational polynomial is held as a primitive integer vector whose
+    leading entry is positive, times a rational scale; its Fraction
+    ``coeffs`` are built from them when first read.  A float polynomial
+    holds its coefficients.
     """
 
-    coeffs: tuple
-    kind: str = RATIONAL
+    kind: str
+    _vector: tuple
+    _scale: Fraction | None
+    _coeffs: tuple | None = field(compare=False)
 
-    def __post_init__(self):
-        if self.kind not in (RATIONAL, FLOAT):
-            raise ValueError(f"unknown scalar kind {self.kind!r}")
-        cs = _coerce(self.coeffs, self.kind)
+    def __init__(self, coeffs: Iterable, kind: str = RATIONAL):
+        if kind not in (RATIONAL, FLOAT):
+            raise ValueError(f"unknown scalar kind {kind!r}")
+        cs = _coerce(coeffs, kind)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = tuple(cs)
+        if kind == FLOAT:
+            _setup(self, FLOAT, cs, None, cs)
+            return
+        den = math.lcm(*[c.denominator for c in cs])
+        vector, scale = _canonical([c.numerator * (den // c.denominator) for c in cs],
+                                   Fraction(1, den))
+        _setup(self, RATIONAL, vector, scale, cs)
+
+    def __repr__(self):
+        return f"Poly(coeffs={self.coeffs!r}, kind={self.kind!r})"
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients in ascending degree: Fractions in lowest terms
+        for a rational polynomial, floats for a float one."""
+        if self._coeffs is None:
+            num, den = self._scale.numerator, self._scale.denominator
+            coeffs = tuple(Fraction(x * num, den) for x in self._vector)
+            object.__setattr__(self, "_coeffs", coeffs)
+        return self._coeffs
+
+    @property
     def degree(self):
         """Degree of the polynomial; ``-inf`` for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
+        return len(self._vector) - 1 if self._vector else float("-inf")
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._vector
 
     @property
     def leading_coefficient(self) -> Scalar:
-        if self.is_zero:
-            return Fraction(0) if self.kind == RATIONAL else 0.0
-        return self.coeffs[-1]
+        if self.kind == FLOAT:
+            return self._vector[-1] if self._vector else 0.0
+        return self._scale * self._vector[-1] if self._vector else Fraction(0)
 
     # -- operations ---------------------------------------------------------
 
@@ -130,10 +165,14 @@ class Poly:
         if self.kind == RATIONAL:
             if not isinstance(t, (Fraction, int, np.integer)):
                 raise ScalarModeError("rational polynomial evaluated at non-rational point")
-        elif not isinstance(t, (float, complex, int, np.floating, np.complexfloating)):
+            acc = Fraction(0)
+            for x in reversed(self._vector):
+                acc = acc * t + x
+            return acc * self._scale
+        if not isinstance(t, (float, complex, int, np.floating, np.complexfloating)):
             raise ScalarModeError(f"cannot evaluate float polynomial at {type(t).__name__}")
-        acc = Fraction(0) if self.kind == RATIONAL else 0.0
-        for c in reversed(self.coeffs):
+        acc = 0.0
+        for c in reversed(self._vector):
             acc = acc * t + c
         return acc
 
@@ -141,16 +180,55 @@ class Poly:
 
     def derivative(self) -> "Poly":
         """Formal derivative; drops the degree by one for non-constants."""
-        return Poly([i * c for i, c in enumerate(self.coeffs) if i > 0], self.kind)
+        terms = [i * c for i, c in enumerate(self._vector) if i > 0]
+        if self.kind == FLOAT:
+            return Poly(terms, FLOAT)
+        return _rational(terms, self._scale)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ValueError("the zero polynomial has no monic form")
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs], self.kind)
+        lead = self._vector[-1]
+        if self.kind == FLOAT:
+            return Poly([c / lead for c in self._vector], FLOAT)
+        return _rational(list(self._vector), Fraction(1, lead))
 
 
-def _check_cvalues(c: Sequence) -> tuple[list, str]:
+def _setup(p: Poly, kind: str, vector: tuple, scale: Fraction | None,
+           coeffs: tuple | None) -> None:
+    object.__setattr__(p, "kind", kind)
+    object.__setattr__(p, "_vector", vector)
+    object.__setattr__(p, "_scale", scale)
+    object.__setattr__(p, "_coeffs", coeffs)
+
+
+def _canonical(ints: list[int], scale: Fraction) -> tuple[tuple, Fraction]:
+    """The primitive vector with positive leading entry and the scale that
+    together equal ``scale * ints``; trailing zeros are dropped."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return (), Fraction(0)
+    content = math.gcd(*ints)
+    if ints[-1] < 0:
+        content = -content
+    if content != 1:
+        ints = [x // content for x in ints]
+        scale *= content
+    return tuple(ints), scale
+
+
+def _rational(ints: list[int], scale: Fraction) -> Poly:
+    """The rational polynomial ``scale * sum(ints[i] theta**i)``."""
+    p = object.__new__(Poly)
+    _setup(p, RATIONAL, *_canonical(ints, scale), None)
+    return p
+
+
+def _linear_factors(c: Sequence) -> tuple[list, str]:
+    """The checked shift values as factors (a theta + b), as (a, b) pairs,
+    and their kind: (d, n) for a rational value n/d in lowest terms,
+    (1.0, c) for a float value c."""
     values = list(c)
     if len(values) == 0:
         raise ValueError("need at least one shift value")
@@ -160,13 +238,20 @@ def _check_cvalues(c: Sequence) -> tuple[list, str]:
             "mixed scalar kinds: values must be all rational (Fraction/int) "
             "or all float"
         )
-    values = _coerce(values, kind)
+    if kind == RATIONAL:
+        # int() turns numpy integers into Python ones, which do not wrap
+        pairs = [(v.denominator, v.numerator) if isinstance(v, Fraction) else (1, int(v))
+                 for v in values]
+        if not all(n for _, n in pairs):
+            raise ValueError("shift values must be nonzero")
+        return pairs, kind
+    values = [float(v) for v in values]
     for v in values:
         if v == 0:
             raise ValueError("shift values must be nonzero")
-        if kind == FLOAT and not math.isfinite(v):
+        if not math.isfinite(v):
             raise ValueError("shift values must be finite")
-    return values, kind
+    return [(1.0, v) for v in values], kind
 
 
 def build_k(c: Sequence) -> Poly:
@@ -176,26 +261,21 @@ def build_k(c: Sequence) -> Poly:
     accumulated by repeated multiplication with one linear factor, so the
     result is invariant under permutation of ``c``.  Each factor is
     taken as a pair (a_i theta + b_i): a rational shift n_i/d_i as the
-    integer factor (d_i theta + n_i), the product then divided by the
-    product of the d_i once at the end; a float shift as (1.0 theta + c_i),
-    whose products by 1.0 are exact.
+    integer factor (d_i theta + n_i), a float shift as (1.0 theta + c_i),
+    whose products by 1.0 are exact.  The integer factors are primitive,
+    and so, by Gauss's lemma, is their product; the monic k is that
+    product over the product of the d_i, its leading coefficient.
     """
-    values, kind = _check_cvalues(c)
-    if kind == RATIONAL:
-        pairs = [(v.denominator, v.numerator) for v in values]
-        coeffs = [1]
-    else:
-        pairs = [(1.0, v) for v in values]
-        coeffs = [1.0]
+    pairs, kind = _linear_factors(c)
+    coeffs = [1] if kind == RATIONAL else [1.0]
     for a, b in pairs:
         # multiply by (a theta + b): new[j] = a*old[j-1] + b*old[j]
         coeffs = [b * coeffs[0],
                   *[a * lo + b * hi for lo, hi in zip(coeffs, coeffs[1:])],
                   a * coeffs[-1]]
-    if kind == RATIONAL:
-        scale = math.prod(a for a, _ in pairs)
-        coeffs = [Fraction(x, scale) for x in coeffs]
-    return Poly(coeffs, kind)
+    if kind == FLOAT:
+        return Poly(coeffs, FLOAT)
+    return _rational(coeffs, Fraction(1, coeffs[-1]))
 
 
 def build_h(c: Sequence) -> Poly:
@@ -208,15 +288,16 @@ def build_h(c: Sequence) -> Poly:
     return build_k(c).derivative()
 
 
-# The 64 largest primes below 2**61 (2**61 - 1 is a Mersenne prime),
-# written as their distance below 2**61.  Residues modulo them stay below
-# 2**61 and products of two residues below 2**122.
-_PRIMES = tuple((1 << 61) - d for d in (
-    1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579, 675, 759, 799, 819,
-    829, 843, 859, 939, 985, 1015, 1153, 1195, 1215, 1281, 1299, 1351, 1371, 1425,
-    1489, 1525, 1533, 1543, 1609, 1621, 1669, 1741, 1753, 1813, 1845, 1849, 1855,
-    1863, 1869, 1909, 1921, 1923, 1945, 1959, 2023, 2083, 2115, 2133, 2185, 2371,
-    2373, 2383, 2385, 2401, 2539, 2551, 2595, 2605,
+# The 64 largest primes below 2**30, written as their distance below
+# 2**30.  A residue modulo one of them is a single 30-bit digit of a
+# CPython integer, where arithmetic takes its fast path, and a product of
+# two residues stays below 2**60.
+_PRIMES = tuple((1 << 30) - d for d in (
+    35, 41, 83, 101, 105, 107, 135, 153, 161, 173, 203, 257, 263, 297, 321, 347,
+    357, 383, 405, 425, 437, 443, 453, 495, 513, 515, 537, 587, 611, 627, 635, 651,
+    723, 747, 777, 861, 873, 891, 915, 945, 971, 977, 1005, 1017, 1031, 1041, 1043,
+    1127, 1131, 1133, 1175, 1215, 1253, 1257, 1281, 1283, 1287, 1295, 1301, 1307,
+    1323, 1335, 1347, 1361,
 ))
 
 # Miller-Rabin with these bases decides primality for every n < 3.3e24.
@@ -252,15 +333,6 @@ def _primes():
         if _is_prime(n):
             yield n
         n -= 2
-
-
-def _primitive(p: Poly) -> list[int]:
-    """The primitive integer multiple of a nonzero rational polynomial,
-    coefficients in descending degree."""
-    scale = math.lcm(*[c.denominator for c in p.coeffs])
-    ints = [c.numerator * (scale // c.denominator) for c in reversed(p.coeffs)]
-    content = math.gcd(*ints)
-    return [x // content for x in ints]
 
 
 def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -348,10 +420,10 @@ def _divides(g: list[int], a: list[int]) -> bool:
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor, by Brown's multi-prime algorithm.
 
-    Both inputs are cleared to primitive integer polynomials A and B.
-    For each prime in a fixed sequence of 61-bit primes that divides
-    neither leading coefficient, the gcd of the images mod p has degree
-    at least deg gcd(A, B): degree 0 proves the gcd is 1, a higher
+    It works on the primitive integer vectors A and B that the inputs
+    hold.  For each prime in a fixed sequence of primes below 2**30 that
+    divides neither leading coefficient, the gcd of the images mod p has
+    degree at least deg gcd(A, B): degree 0 proves the gcd is 1, a higher
     degree than the lowest seen marks an unlucky prime, which is
     dropped, and a lower one discards the images gathered so far.  The
     monic images of the lowest degree are combined by Chinese
@@ -369,8 +441,8 @@ def gcd(a: Poly, b: Poly) -> Poly:
         raise ValueError("gcd(0, 0) is undefined")
     if a.is_zero or b.is_zero:
         return (b if a.is_zero else a).monic()
-    big, small = sorted((_primitive(a), _primitive(b)), key=len, reverse=True)
-    one = Poly((Fraction(1),), RATIONAL)
+    big, small = sorted((a._vector[::-1], b._vector[::-1]), key=len, reverse=True)
+    one = _rational([1], Fraction(1))
     if len(small) == 1:
         return one
     size = None  # length of the lowest-degree images so far
@@ -391,8 +463,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
         modulus *= p
         candidate = _lift(residues, modulus)
         if candidate is not None and _divides(candidate, big) and _divides(candidate, small):
-            lead = candidate[0]
-            return Poly([Fraction(x, lead) for x in reversed(candidate)], RATIONAL)
+            return _rational(candidate[::-1], Fraction(1, candidate[0]))
 
 
 def root_multiplicity(p: Poly, r) -> int:
@@ -400,18 +471,19 @@ def root_multiplicity(p: Poly, r) -> int:
 
     With r = s/t in lowest terms, ``r`` is a root exactly when the
     primitive integer factor (t theta - s) divides the primitive integer
-    form of ``p`` (Gauss's lemma).  One pass of synthetic division gives
-    the quotient and the remainder, and stops early at a step that does
-    not divide exactly; each exact pass deflates ``p`` once.  Integer
-    arithmetic only, zero tolerance.
+    vector that ``p`` holds (Gauss's lemma).  One pass of synthetic
+    division gives the quotient and the remainder, and stops early at a
+    step that does not divide exactly; each exact pass deflates ``p``
+    once.  Integer arithmetic only, zero tolerance.
     """
     if p.kind != RATIONAL:
         raise ScalarModeError("exact multiplicity requires a rational polynomial")
     if p.is_zero:
         raise ValueError("every point is a root of the zero polynomial")
     r = Fraction(r)
-    s, t = r.numerator, r.denominator
-    coeffs = _primitive(p)
+    # int() turns a numpy integer into a Python one, which does not wrap
+    s, t = int(r.numerator), int(r.denominator)
+    coeffs = p._vector[::-1]
     count = 0
     while len(coeffs) > 1:
         quotient, carry = [], 0

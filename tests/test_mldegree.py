@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -256,7 +257,43 @@ class TestMlDegreeFormula:
         assert (md == len(c) - 1) == (prof.l == 0)
 
 
+def sympy_ml_degree(c):
+    """deg h - deg gcd(h, k) in sympy, with k = prod(x + c_i) and h = k'."""
+    x = sympy.Symbol("x")
+    k = sympy.Poly(1, x, domain=sympy.QQ)
+    for v in c:
+        v = Fraction(v)
+        k *= sympy.Poly(x + sympy.Rational(v.numerator, v.denominator), x, domain=sympy.QQ)
+    h = k.diff(x)
+    return h.degree() - sympy.gcd(h, k).degree()
+
+
+big_rationals = st.builds(lambda sign, num, den: F(sign * num, den), st.sampled_from((1, -1)),
+                          st.integers(min_value=2**199, max_value=2**200 - 1),
+                          st.integers(min_value=1, max_value=2**64))
+oracle_values = st.one_of(
+    st.integers(min_value=-20, max_value=20).filter(lambda v: v != 0), rationals, big_rationals)
+
+
+@st.composite
+def heavy_multisets(draw):
+    """A value with a numerator of about 200 bits, repeated 30 to 32
+    times, among ints and fractions of every size, some of them repeated:
+    the gcd of h and k then has coefficients of thousands of bits, which
+    takes hundreds of 30-bit images and as many lifts."""
+    heavy = draw(big_rationals)
+    others = draw(st.lists(oracle_values.filter(lambda v: v != heavy), min_size=1, max_size=8))
+    repeats = draw(st.lists(st.sampled_from(others), max_size=4))
+    mult = draw(st.integers(min_value=30, max_value=32))
+    return list(draw(st.permutations([heavy] * mult + others + repeats)))
+
+
 class TestMlDegreeAlgebraic:
+    @given(heavy_multisets())
+    @settings(max_examples=8, deadline=None)
+    def test_equals_sympy_count(self, c):
+        assert ml_degree_algebraic(c) == sympy_ml_degree(c)
+
     def test_worked_example(self):
         assert ml_degree_algebraic([F(1), F(1), F(2)]) == 1
 

@@ -164,6 +164,12 @@ class TestBuildK:
             c = list(1.0 / rng.uniform(-1.0, 1.0, size=n))
             assert float_bits(build_k(c).coeffs) == float_bits(loop_build_k(c, 1.0))
 
+    def test_numpy_integers_do_not_wrap(self):
+        # int64 products of 10**6 wrap past 2**63; the exact build must not
+        k = build_k(np.array([10**6] * 4))
+        assert k == build_k([10**6] * 4)
+        assert k.coeffs[0] == 10**24
+
     def test_two_factors(self):
         k = build_k([F(2), F(-4)])
         assert k.coeffs == (F(-8), F(-2), F(1))
@@ -263,9 +269,9 @@ class TestGcd:
         got = gcd(a, b)
         assert got.coeffs == tuple(F(int(c.p), int(c.q)) for c in reversed(want.all_coeffs()))
 
-    def test_primes_are_the_largest_below_two_to_the_61(self):
+    def test_primes_are_the_largest_below_two_to_the_30(self):
         primes = list(itertools.islice(polynomials._primes(), len(polynomials._PRIMES) + 8))
-        assert primes[0] == 2**61 - 1
+        assert primes[0] == sympy.prevprime(2**30)
         assert all(sympy.isprime(q) for q in primes)
         assert all(sympy.prevprime(hi) == lo for hi, lo in zip(primes, primes[1:]))
 
@@ -273,8 +279,8 @@ class TestGcd:
     def test_unlucky_primes_are_dropped(self, unlucky):
         # theta - 1 and theta - 1 - P coincide modulo every prime dividing
         # P, where the images see a common factor of degree 2 although
-        # the true gcd, theta - 3**130, has degree 1; its 206-bit root
-        # takes about seven primes, so unlucky primes after lucky ones
+        # the true gcd, theta - 3**130, has degree 1; its 207-bit root
+        # takes about fourteen primes, so unlucky primes after lucky ones
         # are met too
         big = math.prod(polynomials._PRIMES[i] for i in unlucky)
         a = build_k([F(-3**130), F(-1)])
@@ -293,7 +299,7 @@ class TestGcd:
 
     def test_gcd_needing_more_primes_than_the_table(self, monkeypatch):
         # rational reconstruction needs a modulus above twice the square
-        # of the 4300-bit coefficient: about 140 primes, past the 64 of
+        # of the 4300-bit coefficient: about 290 primes, past the 64 of
         # the table
         used = []
         real = polynomials._gcd_mod
@@ -346,6 +352,10 @@ class TestRootMultiplicity:
         # exact although the last remainder under floor division is 0
         assert root_multiplicity(Poly((F(0), F(1), F(3))), F(1, 3)) == 0
         assert root_multiplicity(Poly((F(0), F(1), F(3))), F(-1, 3)) == 1
+
+    def test_numpy_integer_root_does_not_wrap(self):
+        h = build_h([10**12] * 3 + [3])
+        assert root_multiplicity(h, np.int64(-10**12)) == 2
 
     def test_constant_has_no_root(self):
         assert root_multiplicity(Poly((F(-2, 3),)), F(1)) == 0
