@@ -67,7 +67,7 @@ def fit_from_weights(weights: Sequence[float]) -> FitResult:
     search, which runs on every vector with a nonzero weight, checks it.
     """
     w_all = np.asarray(weights, dtype=float)
-    eff = w_all[w_all != 0.0]
+    eff = w_all if w_all.all() else w_all[w_all != 0.0]
     dropped = int(w_all.size - eff.size)
     n_eff = int(eff.size)
     if n_eff == 0:
@@ -83,7 +83,7 @@ def fit_from_weights(weights: Sequence[float]) -> FitResult:
         # zero in (-1, 1) keeps the sign it has at 0 and the likelihood
         # rises toward that endpoint; that sign is never 0 here, as the
         # search returns 0.0 for a zero sum
-        theta = 1.0 if eff.sum() > 0.0 else -1.0
+        theta = 1.0 if np.add.reduce(eff) > 0.0 else -1.0
         loglik = log_likelihood_weights(eff, model.endpoint(eff, theta))
     return FitResult(
         theta_hat=theta,

@@ -84,7 +84,8 @@ def validate_weights(weights) -> np.ndarray:
     """Weights as a float64 array; ValueError unless every weight is
     finite and lies in [-1, 1], the range the model gives them."""
     w = np.asarray(weights, dtype=float)
-    if not (np.abs(w) <= 1.0).all():
+    # a NaN makes the maximum NaN, which fails the comparison
+    if not np.maximum.reduce(np.abs(w), initial=0.0) <= 1.0:
         raise ValueError("weights must be finite and lie in [-1, 1]")
     return w
 
@@ -93,7 +94,9 @@ def endpoint(weights: np.ndarray, side: float) -> float:
     """The endpoint ``side`` (+-1) of the parameter interval, moved
     :data:`ENDPOINT_OFFSET` inward when a weight of exactly -side makes
     1 + side*w vanish there."""
-    if np.any(1.0 + side * weights == 0.0):
+    # 1 + side*w is zero only when side*w is exactly -1: near -1 the sum
+    # is exact (Sterbenz), and elsewhere it is far from zero
+    if (weights == -side).any():
         return side - side * ENDPOINT_OFFSET
     return side
 
@@ -147,7 +150,9 @@ class Dataset:
         """Dataset from coordinate sequences, copied to float64.
 
         Raises ValueError for the first point that is negative or not
-        finite.
+        finite.  Two reductions decide whether every point is valid (a
+        NaN fails the minimum's test, an infinity the maximum's); only
+        when some point is not does a scan find the first one.
         """
         x = np.array(x, dtype=float)
         y = np.array(y, dtype=float)
@@ -155,8 +160,11 @@ class Dataset:
             raise ValueError("x and y must be one-dimensional")
         if len(x) != len(y):
             raise ValueError("x and y must have equal length")
-        bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)) | (x < 0.0) | (y < 0.0))
-        if bad.size:
+        if not (
+            np.minimum.reduce(np.minimum(x, y), initial=math.inf) >= 0.0
+            and np.maximum.reduce(np.maximum(x, y), initial=0.0) < math.inf
+        ):
+            bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)) | (x < 0.0) | (y < 0.0))
             i = int(bad[0])
             _check_point(float(x[i]), float(y[i]))
         w = _weights(x, y)
@@ -164,9 +172,8 @@ class Dataset:
         for name, arr in (("x", x), ("y", y), ("weights", w)):
             arr.setflags(write=False)
             object.__setattr__(data, name, arr)
-        object.__setattr__(
-            data, "degenerate_indices", tuple(np.flatnonzero(w == 0.0).tolist())
-        )
+        degenerate = () if w.all() else tuple(np.flatnonzero(w == 0.0).tolist())
+        object.__setattr__(data, "degenerate_indices", degenerate)
         return data
 
 
@@ -195,9 +202,9 @@ def log_likelihood_weights(weights: np.ndarray, theta: float) -> float:
     term is <= 0."""
     t = validate_theta(theta)
     terms = 1.0 + t * np.asarray(weights, dtype=float)
-    if np.any(terms <= 0.0):
+    if np.logical_or.reduce(terms <= 0.0):
         return float("-inf")
-    return float(np.sum(np.log(terms)))
+    return float(np.add.reduce(np.log(terms)))
 
 
 def log_likelihood(data: Dataset, theta: float, include_constant: bool = False) -> float:
@@ -264,18 +271,21 @@ def sample(n: int, theta: float, seed: int) -> Dataset:
     A = theta*(1 - 2u), taking the branch that is continuous in A.  The
     quotient is evaluated in rationalized form, 2t / ((1+A) + sqrt(D)),
     which is the same root without subtractive cancellation; below
-    |A| = 1e-12 the exact limit v = t is used.  Marginals are standard
-    exponential and results depend only on (n, theta, seed).
+    |A| = 1e-12 the exact limit v = t is used.  The n values of u and
+    then the n values of t are one draw of 2n open uniforms.  Marginals
+    are standard exponential and results depend only on (n, theta,
+    seed).
     """
     t = validate_theta(theta)
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    u = _open_uniform(rng, n)
-    tdraw = _open_uniform(rng, n)
+    # the same stream as two draws of n, u first
+    draws = _open_uniform(np.random.default_rng(seed), 2 * n)
+    u, tdraw = draws[:n], draws[n:]
     a = t * (1.0 - 2.0 * u)
-    disc = np.maximum((1.0 + a) ** 2 - 4.0 * a * tdraw, 0.0)
-    v_quad = 2.0 * tdraw / ((1.0 + a) + np.sqrt(disc))
+    b = 1.0 + a
+    disc = np.maximum(b ** 2 - 4.0 * a * tdraw, 0.0)
+    v_quad = 2.0 * tdraw / (b + np.sqrt(disc))
     v = np.where(np.abs(a) < _SMALL_DEPENDENCE, tdraw, v_quad)
     x = -np.log1p(-u)
     y = -np.log1p(-v)

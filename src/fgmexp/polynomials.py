@@ -371,7 +371,7 @@ def _rational_reconstruction(u: int, m: int, bound: int) -> tuple[int, int] | No
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _lift(residues: list[int], m: int) -> list[int] | None:
+def _lift(residues: list[int], m: int, pairs: list[tuple[int, int]]) -> list[int] | None:
     """The primitive integer polynomial whose monic form is congruent to
     ``residues`` mod m, by rational reconstruction of each coefficient,
     or None when one has no reconstruction.
@@ -381,11 +381,16 @@ def _lift(residues: list[int], m: int) -> list[int] | None:
     Euclid.  Once m exceeds twice the square of the largest coefficient
     of the true primitive gcd, every coefficient comes back right,
     whichever way it is found.
+
+    ``pairs`` holds the leading coefficients that earlier calls, at a
+    modulus dividing m, reconstructed: each as v / den with the ``den``
+    of its step.  A fraction within the bound of a smaller modulus and
+    congruent mod m is the one reconstruction at m would find, so the
+    lift resumes after them, and appends what it finds.
     """
     bound = math.isqrt(m // 2)
-    den = 1
-    pairs = []
-    for u in residues:
+    den = pairs[-1][1] if pairs else 1
+    for u in residues[len(pairs):]:
         v = u * den % m
         if v > m // 2:
             v -= m
@@ -432,6 +437,13 @@ def gcd(a: Poly, b: Poly) -> Poly:
     common divisor of the largest possible degree is the gcd.  The
     result is exact and deterministic.
 
+    The leading coefficients that one lift reconstructs stand while
+    each new image agrees with them, and the next lift starts after
+    them; so a gcd that needs k images reconstructs each coefficient
+    about once and fails about one reconstruction per image, where a
+    lift from scratch after every image would redo all of them.  Every
+    candidate is the one a lift from scratch would give.
+
     Defined only for exact-rational polynomials; float polynomials have
     no meaningful gcd and are rejected.
     """
@@ -455,13 +467,18 @@ def gcd(a: Poly, b: Poly) -> Poly:
         if size is not None and len(image) > size:
             continue
         if size is None or len(image) < size:
-            size, modulus, residues = len(image), 1, [0] * len(image)
+            size, modulus, residues, pairs = len(image), 1, [0] * len(image), []
+        # the reconstructed coefficients stand while they agree with the image
+        for i, (v, den) in enumerate(pairs):
+            if (v - den * image[i]) % p:
+                del pairs[i:]
+                break
         # Chinese remaindering: the residues mod modulus*p that agree
         # with the old residues mod modulus and with the image mod p
         step = pow(modulus, -1, p)
         residues = [r + modulus * ((x - r) * step % p) for r, x in zip(residues, image)]
         modulus *= p
-        candidate = _lift(residues, modulus)
+        candidate = _lift(residues, modulus, pairs)
         if candidate is not None and _divides(candidate, big) and _divides(candidate, small):
             return _rational(candidate[::-1], Fraction(1, candidate[0]))
 

@@ -13,7 +13,8 @@ maximum-likelihood root is its one zero in the pole gap that contains
 (-1, 1).  The sign of the score at 0 says on which side of 0 the root
 lies; a negative sign is handled by negating the weights and the
 result, which makes the fitted root flip sign exactly when every weight
-is negated.  On the positive side, Newton's method from 0, kept inside
+is negated.  On the positive side, Newton's method from 0 (where every
+term is its weight, so the score is the sum already taken), kept inside
 the bracket found so far, stops by the relative rule of LAPACK
 ``dlaed4`` (Bunch, Nielsen and Sorensen, Numer. Math. 31, 1978): once
 |score| is within a few rounding units of the sum of the magnitudes of
@@ -119,25 +120,33 @@ def complex_roots(p: Poly) -> RootSet:
     return RootSet(roots, mults, residuals)
 
 
-def _pass(w: np.ndarray, theta: float) -> tuple[float, float, float]:
-    """One pass over the weights at ``theta``: the score sum(q_i), its
-    slope -sum(q_i**2) and the scale sum(|q_i|), where
-    q_i = w_i / (1 + theta w_i)."""
-    q = w / (1.0 + theta * w)
+def _slope_and_scale(q: np.ndarray) -> tuple[float, float]:
+    """The score's slope -sum(q_i**2) and its scale sum(|q_i|), from its
+    terms q_i."""
     # not q @ q: above about 1e4 terms BLAS runs the dot product on worker
     # threads, whose spinning doubled the CPU time of a fit at n = 1e6
-    return float(q.sum()), -float((q * q).sum()), float(np.abs(q).sum())
+    return -float(np.add.reduce(q * q)), float(np.add.reduce(np.abs(q)))
 
 
-def _positive_root(w: np.ndarray) -> float | None:
-    """The root on (0, 1) of a score that is positive at 0, or None."""
+def _pass(w: np.ndarray, theta: float) -> tuple[float, float, float]:
+    """One pass over the weights at ``theta``: the score sum(q_i), its
+    slope and its scale, where q_i = w_i / (1 + theta w_i)."""
+    q = w / (1.0 + theta * w)
+    return (float(np.add.reduce(q)), *_slope_and_scale(q))
+
+
+def _positive_root(w: np.ndarray, f0: float) -> float | None:
+    """The root on (0, 1) of a score that is positive at 0, where it
+    equals ``f0`` = sum(w_i), or None."""
     hi = endpoint(w, 1.0)
     # the score decreases, so f(-1) > f(0) > 0: only +1 can bound a root
-    if not _pass(w, hi)[0] < 0.0:
+    if not np.add.reduce(w / (1.0 + hi * w)) < 0.0:
         return None
+    # at theta = 0 every term is w_i itself, and their sum is f0
     lo = x = 0.0
+    f = f0
+    slope, scale = _slope_and_scale(w)
     for _ in range(MAX_ITER):
-        f, slope, scale = _pass(w, x)
         if abs(f) <= STOP_REL * scale:
             break
         if f > 0.0:
@@ -150,6 +159,7 @@ def _positive_root(w: np.ndarray) -> float | None:
             if not lo < step < hi:
                 break
         x = step
+        f, slope, scale = _pass(w, x)
     return x
 
 
@@ -174,12 +184,13 @@ def score_root_from_weights(w: np.ndarray) -> float | None:
     is nonzero.
     """
     w = validate_weights(w)
-    f0 = float(w.sum())
+    f0 = float(np.add.reduce(w))
     if f0 == 0.0:
         if not w.any():
             raise ValueError("score root needs at least one nonzero weight")
         return 0.0
     if f0 > 0.0:
-        return _positive_root(w)
-    root = _positive_root(-w)
+        return _positive_root(w, f0)
+    # summing the negated terms in the same order gives exactly -f0
+    root = _positive_root(-w, -f0)
     return None if root is None else -root

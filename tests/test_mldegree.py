@@ -294,6 +294,22 @@ class TestMlDegreeAlgebraic:
     def test_equals_sympy_count(self, c):
         assert ml_degree_algebraic(c) == sympy_ml_degree(c)
 
+    def test_reconstructs_each_coefficient_about_once(self, monkeypatch):
+        # the gcd is (theta + c)**32 with c about 2**200 / 7, whose
+        # coefficients take 427 images; lifting from scratch after each
+        # image reconstructed 6153 coefficients, about 14 per image
+        c = [F(2**200 + 12345, 7)] * 33 + [3, F(-5, 2), 7, F(2**199 + 1, 2**60 + 3),
+                                           F(2**200 - 1, 5)]
+        calls = {"image": 0, "rr": 0}
+        for name, key in (("_gcd_mod", "image"), ("_rational_reconstruction", "rr")):
+            real = getattr(polynomials, name)
+            monkeypatch.setattr(polynomials, name,
+                                lambda *a, real=real, key=key: calls.update({key: calls[key] + 1}) or real(*a))
+        assert ml_degree_algebraic(c) == sympy_ml_degree(c) == 5
+        # one failed reconstruction per image, and one success per coefficient
+        assert calls["image"] > 400
+        assert calls["rr"] <= calls["image"] + 2 * 33
+
     def test_worked_example(self):
         assert ml_degree_algebraic([F(1), F(1), F(2)]) == 1
 

@@ -221,6 +221,22 @@ def test_boundary_fit_takes_the_endpoint_the_sum_points_to(w):
     assert mine >= other - slack
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="FOUND: the sign of the score at 0 comes from the float sum of the "
+                   "weights, which cancels below its rounding error here")
+def test_boundary_fit_follows_the_exact_sign_of_a_cancelling_sum():
+    # the weights sum to -7.07e-37 exactly but to +1.50e-36 in floating
+    # point, so the fit returns +1, where -1 has the larger
+    # log-likelihood; an exact sign at 0 alone does not mend it, as the
+    # score sums of the root search cancel the same way
+    u = np.spacing(1e-20)
+    w = np.array([1e-20, -0.49 * u, -0.49 * u, -0.49 * u, -(1e-20 - u)])
+    # the premises fail the test outright, not as the expected failure
+    if not (math.fsum(w) < 0.0 < w.sum() and math.fsum(np.log1p(-w)) > math.fsum(np.log1p(w))):
+        pytest.fail("the weights no longer cancel as described")
+    assert fit_from_weights(w).theta_hat == -1.0
+
+
 class TestEquivariance:
     def test_exact_sign_flip_simulated(self):
         rng = np.random.default_rng(79)

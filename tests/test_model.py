@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from fgmexp import model
 from fgmexp.model import (
     DataFormatError,
     Dataset,
@@ -22,6 +25,14 @@ from fgmexp.model import (
 )
 
 LN2 = math.log(2.0)
+
+
+# valid values (-0.0 and ln 2 among them) and every kind of bad one
+_coordinate = st.one_of(
+    st.floats(min_value=0.0, max_value=50.0),
+    st.sampled_from([0.0, -0.0, LN2, 1e-300, 1e300, 1.7976931348623157e308]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -1.0, -5e-324]),
+)
 
 
 def dataset(pairs):
@@ -119,6 +130,33 @@ class TestDataset:
         with pytest.raises(ValueError) as got:
             Dataset.from_arrays([1.0, x, -5.0], [1.0, y, 1.0])
         assert str(got.value) == str(want.value)
+
+    @given(st.lists(st.tuples(_coordinate, _coordinate), max_size=12))
+    def test_from_arrays_checks_points_as_a_loop_does(self, points):
+        # the reference: each point in turn through the per-point rule; the
+        # first bad one raises, with its own message, whatever follows it
+        x = [px for px, _ in points]
+        y = [py for _, py in points]
+        try:
+            for px, py in points:
+                model._check_point(px, py)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Dataset.from_arrays(x, y)
+            assert str(got.value) == str(exc)
+            return
+        ds = Dataset.from_arrays(np.array(x), np.array(y))
+        assert ds.x.tobytes() == np.array(x, dtype=float).tobytes()
+        assert ds.y.tobytes() == np.array(y, dtype=float).tobytes()
+        w = model._weights(np.array(x, dtype=float), np.array(y, dtype=float)).tolist()
+        assert ds.weights.tolist() == w
+        assert ds.degenerate_indices == tuple(i for i, v in enumerate(w) if v == 0.0)
+
+    def test_from_arrays_of_empty_arrays_is_the_empty_dataset(self):
+        for empty in ([], np.array([]), np.empty(0)):
+            ds = Dataset.from_arrays(empty, empty)
+            assert ds.n == 0 and ds.degenerate_indices == ()
+            assert ds.weights.dtype == np.float64 and ds.weights.size == 0
 
     def test_from_arrays_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):

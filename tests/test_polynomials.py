@@ -310,6 +310,24 @@ class TestGcd:
         assert gcd(a, b) == g
         assert min(used) < polynomials._PRIMES[-1]
 
+    @pytest.mark.parametrize("values", [
+        ([F(10**130, 7)] * 6 + [F(3), F(-1, 2)], [F(10**130, 7)] * 5 + [F(2)]),
+        ([F(-3**130), F(-1)], [F(-3**130), F(5, 3)]),
+        ([F(2**90 + 1, 3**20)] * 4 + [F(1)] * 3, [F(2**90 + 1, 3**20)] * 3 + [F(1)] * 2 + [F(7)]),
+    ])
+    def test_resumed_lifts_match_lifts_from_scratch(self, monkeypatch, values):
+        # the coefficients that stand are those a lift from scratch finds,
+        # so both take the same images to the same gcd
+        a, b = (build_k(v) for v in values)
+        real_lift, real_image = polynomials._lift, polynomials._gcd_mod
+        primes = []
+        monkeypatch.setattr(polynomials, "_gcd_mod", lambda x, y, p: primes.append(p) or real_image(x, y, p))
+        resumed, resumed_primes = gcd(a, b), list(primes)
+        primes.clear()
+        monkeypatch.setattr(polynomials, "_lift", lambda r, m, pairs: real_lift(r, m, []))
+        assert gcd(a, b) == resumed
+        assert primes == resumed_primes and len(primes) > 3
+
     def test_exact_division_check_needs_a_zero_remainder(self):
         # a leading coefficient of 1 divides every step; only the
         # remainder tells theta + 1 from a divisor of theta^2 + 1

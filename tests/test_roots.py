@@ -180,7 +180,8 @@ class TestScoreRoot:
 
     @pytest.mark.parametrize("theta", [0.3, -0.5])
     def test_large_fits_take_few_passes(self, monkeypatch, theta):
-        # one pass scores the +1 endpoint, the rest are Newton steps
+        # every pass is a Newton step: the +1 endpoint is scored apart,
+        # and at 0 the score is the sum of the weights
         calls = []
         real = roots._pass
         monkeypatch.setattr(roots, "_pass", lambda w, t: calls.append(t) or real(w, t))
