@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import model, roots
+from . import roots
 from .model import Dataset, log_likelihood_weights
 
 __all__ = ["FitResult", "NoDataError", "fit", "fit_from_weights"]
@@ -77,17 +77,19 @@ def fit_from_weights(weights: Sequence[float]) -> FitResult:
         )
     root = roots.score_root_from_weights(eff)
     if root is not None:
-        theta, loglik = root, log_likelihood_weights(eff, root)
+        theta = root
     else:
         # each log(1 + theta w_i) is strictly concave, so a score with no
         # zero in (-1, 1) keeps the sign it has at 0 and the likelihood
         # rises toward that endpoint; that sign is never 0 here, as the
-        # search returns 0.0 for a zero sum
+        # search returns 0.0 for a zero sum.  No weight is -theta here:
+        # its term is -1e12 at the search's bracket, 1e-12 inside theta,
+        # which outweighs fewer than 2e12 other terms of at most 1/2 each
+        # and so gives a root
         theta = 1.0 if np.add.reduce(eff) > 0.0 else -1.0
-        loglik = log_likelihood_weights(eff, model.endpoint(eff, theta))
     return FitResult(
         theta_hat=theta,
-        loglik=loglik,
+        loglik=log_likelihood_weights(eff, theta),
         at_boundary=root is None,
         interior_root=root,
         n_effective=n_eff,

@@ -31,7 +31,6 @@ __all__ = [
     "DataFormatError",
     "validate_theta",
     "validate_weights",
-    "endpoint",
     "density",
     "log_likelihood",
     "log_likelihood_weights",
@@ -45,8 +44,6 @@ __all__ = [
 
 THETA_MIN = -1.0
 THETA_MAX = 1.0
-
-ENDPOINT_OFFSET = 1e-12  # inward move of an endpoint that is a pole
 
 # Below this magnitude the conditional quantile is evaluated at its
 # exact limit to sidestep the degenerate quadratic.
@@ -88,17 +85,6 @@ def validate_weights(weights) -> np.ndarray:
     if not np.maximum.reduce(np.abs(w), initial=0.0) <= 1.0:
         raise ValueError("weights must be finite and lie in [-1, 1]")
     return w
-
-
-def endpoint(weights: np.ndarray, side: float) -> float:
-    """The endpoint ``side`` (+-1) of the parameter interval, moved
-    :data:`ENDPOINT_OFFSET` inward when a weight of exactly -side makes
-    1 + side*w vanish there."""
-    # 1 + side*w is zero only when side*w is exactly -1: near -1 the sum
-    # is exact (Sterbenz), and elsewhere it is far from zero
-    if (weights == -side).any():
-        return side - side * ENDPOINT_OFFSET
-    return side
 
 
 def _check_point(x: float, y: float) -> None:

@@ -13,12 +13,14 @@ maximum-likelihood root is its one zero in the pole gap that contains
 (-1, 1).  The sign of the score at 0 says on which side of 0 the root
 lies; a negative sign is handled by negating the weights and the
 result, which makes the fitted root flip sign exactly when every weight
-is negated.  On the positive side, Newton's method from 0 (where every
-term is its weight, so the score is the sum already taken), kept inside
-the bracket found so far, stops by the relative rule of LAPACK
-``dlaed4`` (Bunch, Nielsen and Sorensen, Numer. Math. 31, 1978): once
-|score| is within a few rounding units of the sum of the magnitudes of
-its terms, which is as close as a sum of n rounded terms can resolve.
+is negated.  On the positive side the bracket ends at +1, or 1e-12
+short of it when a weight of exactly -1 puts a pole there.  Newton's
+method from 0 (where every term is its weight, so the score is the sum
+already taken), kept inside the bracket found so far, stops by the
+relative rule of LAPACK ``dlaed4`` (Bunch, Nielsen and Sorensen, Numer.
+Math. 31, 1978): once |score| is within a few rounding units of the sum
+of the magnitudes of its terms, which is as close as a sum of n rounded
+terms can resolve.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import endpoint, validate_weights
+from .model import validate_weights
 from .polynomials import FLOAT, Poly, ScalarModeError
 
 __all__ = [
@@ -37,7 +39,7 @@ __all__ = [
 ]
 
 CLUSTER_RADIUS = 1e-7     # times max(1, largest root magnitude)
-RESIDUAL_TOL = 1e-8       # relative backward error bound per root
+_ENDPOINT_OFFSET = 1e-12  # inward move of the bracket's end at a pole
 # the stopping rule of LAPACK dlaed4: |score| within eight rounding
 # units of the sum of the magnitudes of its terms
 STOP_REL = 8.0 * np.finfo(float).eps
@@ -138,7 +140,9 @@ def _pass(w: np.ndarray, theta: float) -> tuple[float, float, float]:
 def _positive_root(w: np.ndarray, f0: float) -> float | None:
     """The root on (0, 1) of a score that is positive at 0, where it
     equals ``f0`` = sum(w_i), or None."""
-    hi = endpoint(w, 1.0)
+    # 1 + w is zero only for a weight of exactly -1: near -1 the sum is
+    # exact (Sterbenz), and elsewhere it is far from zero
+    hi = 1.0 - _ENDPOINT_OFFSET if (w == -1.0).any() else 1.0
     # the score decreases, so f(-1) > f(0) > 0: only +1 can bound a root
     if not np.add.reduce(w / (1.0 + hi * w)) < 0.0:
         return None
@@ -171,17 +175,16 @@ def score_root_from_weights(w: np.ndarray) -> float | None:
     0 the root.  A negative one is handled by solving for the negated
     weights and negating the result, so the root of -w is exactly minus
     the root of w.  A positive one puts the root in (0, 1), and only when
-    the score is negative at +1, moved inward by
-    :func:`fgmexp.model.endpoint` when a weight of exactly -1 makes it a
-    pole; otherwise the maximum sits on the boundary and None is
-    returned.  The root is found by Newton's method from 0, each step
-    kept strictly inside the bracket the signs of the score have shown
-    or replaced by the bracket's midpoint.  The search stops once
-    |f| <= :data:`STOP_REL` * sum |w_i / (1 + theta w_i)|, where the
-    rounding error of the computed score can hide its sign, or once the
-    bracket has no float strictly inside.  Raises ValueError for a
-    weight that is not finite or lies outside [-1, 1], or when no weight
-    is nonzero.
+    the score is negative at +1, moved 1e-12 inward when a weight of
+    exactly -1 makes it a pole; otherwise the maximum sits on the
+    boundary and None is returned.  The root is found by Newton's method
+    from 0, each step kept strictly inside the bracket the signs of the
+    score have shown or replaced by the bracket's midpoint.  The search
+    stops once |f| <= :data:`STOP_REL` * sum |w_i / (1 + theta w_i)|,
+    where the rounding error of the computed score can hide its sign, or
+    once the bracket has no float strictly inside.  Raises ValueError for
+    a weight that is not finite or lies outside [-1, 1], or when no
+    weight is nonzero.
     """
     w = validate_weights(w)
     f0 = float(np.add.reduce(w))

@@ -202,13 +202,28 @@ def _scaled_weights(sign):
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(_scaled_weights(1), _scaled_weights(-1), _scaled_weights(0)))
+def _weights_with_unit_entries():
+    """Weight vectors that hold exact +-1 entries among zeros, subnormals
+    and ordinary weights."""
+    entry = st.one_of(st.sampled_from([1.0, -1.0, 0.0, 5e-324, -5e-324]),
+                      st.floats(-1.0, 1.0))
+    return st.lists(entry, min_size=1, max_size=8).map(np.array)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_scaled_weights(1), _scaled_weights(-1), _scaled_weights(0),
+                 _weights_with_unit_entries()))
 def test_boundary_fit_takes_the_endpoint_the_sum_points_to(w):
     assume(np.any(w))
     res = fit_from_weights(w)
     assume(res.at_boundary)
-    assert res.theta_hat == (1.0 if w[w != 0.0].sum() > 0.0 else -1.0)
+    eff = w[w != 0.0]
+    assert res.theta_hat == (1.0 if eff.sum() > 0.0 else -1.0)
+    # a weight of -theta_hat would make the boundary a pole, whose -inf
+    # score just inside it always gives a root instead; so the loglik is
+    # taken at the endpoint itself
+    assert not (eff == -res.theta_hat).any()
+    assert res.loglik == log_likelihood_weights(eff, res.theta_hat)
     neg = fit_from_weights(-w)
     assert (neg.theta_hat, neg.at_boundary) == (-res.theta_hat, True)
     # the larger endpoint loglik, up to the rounding error of sum(w),

@@ -13,7 +13,6 @@ from fgmexp.model import (
     PoleError,
     c_shift,
     density,
-    endpoint,
     log_likelihood,
     log_likelihood_weights,
     read_csv,
@@ -236,16 +235,6 @@ class TestLogLikelihood:
         ds = dataset([(0.0, 0.0), (1.0, 1.0)])
         assert log_likelihood(ds, -1.0) == float("-inf")
         assert log_likelihood(ds, 1.0) > 0.0
-
-
-class TestEndpoint:
-    def test_moves_inward_only_at_a_pole(self):
-        # the same bits the root search and the boundary likelihood used
-        # when each kept its own copy of the rule
-        assert endpoint(np.array([1.0, 0.2]), -1.0) == -1.0 + 1e-12
-        assert endpoint(np.array([-1.0, 0.2]), 1.0) == 1.0 - 1e-12
-        assert endpoint(np.array([1.0, 0.2]), 1.0) == 1.0
-        assert endpoint(np.array([0.5, -0.5]), -1.0) == -1.0
 
 
 class TestScore:

@@ -145,6 +145,10 @@ class TestScoreRoot:
         r = score_root_from_weights(w)
         if r is not None:
             assert -1.0 < r < 1.0
+        # the bracket ends 1e-12 inside a pole; ending at the pole itself
+        # gives +-0.7307692307692308 here
+        assert score_root_from_weights(np.array([-1.0] + [0.4] * 12)) == 0.7307692307692307
+        assert score_root_from_weights(np.array([1.0] + [-0.4] * 12)) == -0.7307692307692307
 
     @pytest.mark.parametrize("w", [[float("nan"), 0.5], [1.5, -0.9], [0.2, float("inf")]])
     def test_weight_outside_the_model_range_is_rejected(self, w):
