@@ -67,7 +67,7 @@ def fit_from_weights(weights: Sequence[float]) -> FitResult:
     search, which runs on every vector with a nonzero weight, checks it.
     """
     w_all = np.asarray(weights, dtype=float)
-    eff = w_all if w_all.all() else w_all[w_all != 0.0]
+    eff = w_all if np.logical_and.reduce(w_all) else w_all[w_all != 0.0]
     dropped = int(w_all.size - eff.size)
     n_eff = int(eff.size)
     if n_eff == 0:

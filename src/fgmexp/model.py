@@ -102,8 +102,9 @@ def _weights(x, y):
 
 @dataclass(frozen=True, init=False, eq=False)
 class Dataset:
-    """An ordered sample held as columns: frozen float64 arrays ``x`` and
-    ``y`` and the per-observation weights derived from them.
+    """An ordered sample held as columns: ``x`` and ``y``, the rows of
+    one frozen (2, n) float64 array, and the per-observation weights
+    derived from them.
 
     Build one with :meth:`from_arrays`.  Weights are recomputed from the
     coordinates at construction and every array is read-only, so they
@@ -135,30 +136,42 @@ class Dataset:
     def from_arrays(cls, x: Sequence[float], y: Sequence[float]) -> "Dataset":
         """Dataset from coordinate sequences, copied to float64.
 
+        The copy is one (2, n) array whose read-only rows are ``x`` and
+        ``y``, so every elementwise stage runs once over both columns.
         Raises ValueError for the first point that is negative or not
         finite.  Two reductions decide whether every point is valid (a
         NaN fails the minimum's test, an infinity the maximum's); only
         when some point is not does a scan find the first one.
         """
-        x = np.array(x, dtype=float)
-        y = np.array(y, dtype=float)
-        if x.ndim != 1 or y.ndim != 1:
-            raise ValueError("x and y must be one-dimensional")
-        if len(x) != len(y):
+        try:
+            xy = np.array((x, y), dtype=float)
+        except ValueError:  # ragged, or a value float() rejects
+            xy = None
+        if xy is None or xy.ndim != 2:
+            # column by column, to raise the error that names the fault
+            x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+            if x.ndim != 1 or y.ndim != 1:
+                raise ValueError("x and y must be one-dimensional")
             raise ValueError("x and y must have equal length")
         if not (
-            np.minimum.reduce(np.minimum(x, y), initial=math.inf) >= 0.0
-            and np.maximum.reduce(np.maximum(x, y), initial=0.0) < math.inf
+            np.minimum.reduce(xy, axis=None, initial=math.inf) >= 0.0
+            and np.maximum.reduce(xy, axis=None, initial=0.0) < math.inf
         ):
-            bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)) | (x < 0.0) | (y < 0.0))
-            i = int(bad[0])
-            _check_point(float(x[i]), float(y[i]))
-        w = _weights(x, y)
+            i = int(np.flatnonzero(~((xy >= 0.0) & (xy < math.inf)).all(axis=0))[0])
+            _check_point(float(xy[0, i]), float(xy[1, i]))
+        # w = (2 exp(-x) - 1)(2 exp(-y) - 1): the factors in place, both rows at once
+        f = np.negative(xy)
+        np.exp(f, out=f)
+        f *= 2.0
+        f -= 1.0
+        w = f[0] * f[1]
+        xy.setflags(write=False)
+        w.setflags(write=False)
         data = cls.__new__(cls)
-        for name, arr in (("x", x), ("y", y), ("weights", w)):
-            arr.setflags(write=False)
-            object.__setattr__(data, name, arr)
-        degenerate = () if w.all() else tuple(np.flatnonzero(w == 0.0).tolist())
+        object.__setattr__(data, "x", xy[0])
+        object.__setattr__(data, "y", xy[1])
+        object.__setattr__(data, "weights", w)
+        degenerate = () if np.logical_and.reduce(w) else tuple(np.flatnonzero(w == 0.0).tolist())
         object.__setattr__(data, "degenerate_indices", degenerate)
         return data
 
@@ -188,7 +201,8 @@ def log_likelihood_weights(weights: np.ndarray, theta: float) -> float:
     term is <= 0."""
     t = validate_theta(theta)
     terms = 1.0 + t * np.asarray(weights, dtype=float)
-    if np.logical_or.reduce(terms <= 0.0):
+    # a NaN makes the minimum NaN, which fails the comparison
+    if np.minimum.reduce(terms, initial=math.inf) <= 0.0:
         return float("-inf")
     return float(np.add.reduce(np.log(terms)))
 
@@ -265,17 +279,20 @@ def sample(n: int, theta: float, seed: int) -> Dataset:
     t = validate_theta(theta)
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    # the same stream as two draws of n, u first
-    draws = _open_uniform(np.random.default_rng(seed), 2 * n)
+    # the stream of default_rng(seed): the n values of u, then of t
+    draws = _open_uniform(np.random.Generator(np.random.PCG64(seed)), 2 * n)
     u, tdraw = draws[:n], draws[n:]
     a = t * (1.0 - 2.0 * u)
     b = 1.0 + a
     disc = np.maximum(b ** 2 - 4.0 * a * tdraw, 0.0)
     v_quad = 2.0 * tdraw / (b + np.sqrt(disc))
-    v = np.where(np.abs(a) < _SMALL_DEPENDENCE, tdraw, v_quad)
-    x = -np.log1p(-u)
-    y = -np.log1p(-v)
-    return Dataset.from_arrays(x, y)
+    # v overwrites t where the quadratic is not degenerate
+    np.copyto(tdraw, v_quad, where=np.abs(a) >= _SMALL_DEPENDENCE)
+    # x = -log1p(-u) and y = -log1p(-v), in place over both halves
+    np.negative(draws, out=draws)
+    np.log1p(draws, out=draws)
+    np.negative(draws, out=draws)
+    return Dataset.from_arrays(draws[:n], draws[n:])
 
 
 def read_csv(path) -> Dataset:

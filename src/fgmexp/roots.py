@@ -20,7 +20,9 @@ already taken), kept inside the bracket found so far, stops by the
 relative rule of LAPACK ``dlaed4`` (Bunch, Nielsen and Sorensen, Numer.
 Math. 31, 1978): once |score| is within a few rounding units of the sum
 of the magnitudes of its terms, which is as close as a sum of n rounded
-terms can resolve.
+terms can resolve.  Each Newton pass writes the terms q_i into row 0 of
+one (3, n) buffer, q_i**2 into row 1 and |q_i| into row 2, and a single
+reduction over the rows gives the score, minus its slope, and its scale.
 """
 
 from __future__ import annotations
@@ -122,19 +124,28 @@ def complex_roots(p: Poly) -> RootSet:
     return RootSet(roots, mults, residuals)
 
 
-def _slope_and_scale(q: np.ndarray) -> tuple[float, float]:
-    """The score's slope -sum(q_i**2) and its scale sum(|q_i|), from its
-    terms q_i."""
+def _sums(buf: np.ndarray) -> tuple[float, float, float]:
+    """The score sum(q_i), its slope -sum(q_i**2) and its scale
+    sum(|q_i|), from the terms q in row 0 of the (3, n) ``buf``: q*q is
+    written to row 1 and |q| to row 2, and one reduction sums the rows."""
+    q = buf[0]
+    np.multiply(q, q, out=buf[1])
+    np.absolute(q, out=buf[2])
     # not q @ q: above about 1e4 terms BLAS runs the dot product on worker
     # threads, whose spinning doubled the CPU time of a fit at n = 1e6
-    return -float(np.add.reduce(q * q)), float(np.add.reduce(np.abs(q)))
+    score, square, scale = np.add.reduce(buf, axis=1).tolist()
+    return score, -square, scale
 
 
-def _pass(w: np.ndarray, theta: float) -> tuple[float, float, float]:
-    """One pass over the weights at ``theta``: the score sum(q_i), its
-    slope and its scale, where q_i = w_i / (1 + theta w_i)."""
-    q = w / (1.0 + theta * w)
-    return (float(np.add.reduce(q)), *_slope_and_scale(q))
+def _pass(w: np.ndarray, theta: float, buf: np.ndarray) -> tuple[float, float, float]:
+    """One pass over the weights at ``theta``: writes the terms
+    q_i = w_i / (1 + theta w_i) into row 0 of ``buf`` and returns the
+    score, its slope and its scale (see :func:`_sums`)."""
+    q = buf[0]
+    np.multiply(w, theta, out=q)
+    q += 1.0
+    np.divide(w, q, out=q)
+    return _sums(buf)
 
 
 def _positive_root(w: np.ndarray, f0: float) -> float | None:
@@ -142,14 +153,16 @@ def _positive_root(w: np.ndarray, f0: float) -> float | None:
     equals ``f0`` = sum(w_i), or None."""
     # 1 + w is zero only for a weight of exactly -1: near -1 the sum is
     # exact (Sterbenz), and elsewhere it is far from zero
-    hi = 1.0 - _ENDPOINT_OFFSET if (w == -1.0).any() else 1.0
+    hi = 1.0 - _ENDPOINT_OFFSET if np.minimum.reduce(w) == -1.0 else 1.0
     # the score decreases, so f(-1) > f(0) > 0: only +1 can bound a root
     if not np.add.reduce(w / (1.0 + hi * w)) < 0.0:
         return None
     # at theta = 0 every term is w_i itself, and their sum is f0
+    buf = np.empty((3, w.size))
+    buf[0] = w
+    _, slope, scale = _sums(buf)
     lo = x = 0.0
     f = f0
-    slope, scale = _slope_and_scale(w)
     for _ in range(MAX_ITER):
         if abs(f) <= STOP_REL * scale:
             break
@@ -163,7 +176,7 @@ def _positive_root(w: np.ndarray, f0: float) -> float | None:
             if not lo < step < hi:
                 break
         x = step
-        f, slope, scale = _pass(w, x)
+        f, slope, scale = _pass(w, x, buf)
     return x
 
 

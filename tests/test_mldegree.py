@@ -68,6 +68,8 @@ class TestProfile:
         with pytest.raises(ValueError):
             profile([F(1), F(0)])
         with pytest.raises(ValueError):
+            profile([F(1), 0])
+        with pytest.raises(ValueError):
             profile([1.0, 0.0])
 
     def test_approx_clusters_within_relative_tolerance(self):
@@ -91,6 +93,10 @@ class TestProfile:
     def test_group_order_is_first_appearance(self):
         prof = profile([F(7), F(2), F(7), F(1)])
         assert prof.values == [F(7), F(2), F(1)]
+        # an int and the Fraction equal to it are one group
+        prof = profile([7, F(2), F(14, 2), np.int64(1), F(1)])
+        assert list(zip(prof.values, prof.mults)) == [(F(7), 2), (F(2), 1), (F(1), 2)]
+        assert all(type(v) is F and type(v.numerator) is int for v in prof.values)
 
 
 def loop_profile_groups(values):

@@ -1,4 +1,4 @@
-"""Bit-for-bit pins of ``model.sample`` and ``mle.fit`` at small n.
+"""Bit-for-bit pins of ``model.sample`` and ``mle.fit``.
 
 The CSV golden hash covers one sample (n = 1000, theta = 0.3); these
 digests cover the small samples of a Monte-Carlo study: every byte of
@@ -6,15 +6,28 @@ x, y and the weights, and the ``repr`` of every ``FitResult`` field, so
 a change to the draw, the validation or the root search that moves a
 single bit, or turns a float into a numpy scalar, fails here.  Like the
 CSV golden hash, they rest on numpy's rounding of ``exp``, ``log1p``
-and ``sqrt``.
+and ``log``, which differs between the SIMD loops numpy dispatches to,
+so each digest is recorded per dispatch (see ``dispatch.py``).
+
+The tests below them use no stored digest.  They pin the one-buffer
+stages against the same arithmetic done column by column: the weights
+of ``Dataset.from_arrays``, the coordinates of ``sample`` and the row
+sums of the Newton pass.  They fail on any dispatch whose kernels
+round a lane differently by its position in the buffer.
 """
 
 import dataclasses
 import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
+from dispatch import AVX2, AVX512, BASELINE, numpy_dispatch, pinned
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fgmexp import roots
 from fgmexp.mle import NoDataError, fit, fit_from_weights
 from fgmexp.model import Dataset, sample
 
@@ -53,13 +66,29 @@ def _sampled_digest(n):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("n,digest", [
-    (1, "52c55bd66d0ef64905a463654d26b2eae32167a2ca65b46d893b05d8d115bf54"),
-    (2, "60bfbcfd6c5f5b48705bf5761b9cff1c1bbbe84c360be4a6606a6e3100992624"),
-    (50, "bc4705fce7ec2a417923a4e4ad221d8b0dd042e4d04dd2cb421a2fe219e1c389"),
-])
-def test_sample_and_fit_bits(n, digest):
-    assert _sampled_digest(n) == digest
+SAMPLED_DIGESTS = {
+    1: {
+        AVX512: "52c55bd66d0ef64905a463654d26b2eae32167a2ca65b46d893b05d8d115bf54",
+        AVX2: "ad87515d23bcf7d16a0400c23e840910368e4c979b9ec4bda7d5b1066be3f91c",
+        BASELINE: "ad87515d23bcf7d16a0400c23e840910368e4c979b9ec4bda7d5b1066be3f91c",
+    },
+    2: {
+        AVX512: "60bfbcfd6c5f5b48705bf5761b9cff1c1bbbe84c360be4a6606a6e3100992624",
+        AVX2: "c4827744f4eefe5d643aeadacf6aee206153e342a22e6d0b1aadb2dd8579a928",
+        BASELINE: "c4827744f4eefe5d643aeadacf6aee206153e342a22e6d0b1aadb2dd8579a928",
+    },
+    50: {
+        AVX512: "bc4705fce7ec2a417923a4e4ad221d8b0dd042e4d04dd2cb421a2fe219e1c389",
+        AVX2: "30b9b5180da1e5a8628392e29ecdc56bdcc7b05d45bb984f42a2af1bedd57e04",
+        BASELINE: "30b9b5180da1e5a8628392e29ecdc56bdcc7b05d45bb984f42a2af1bedd57e04",
+    },
+}
+
+
+# the id names the AVX-512 digest, so a case keeps its name on every machine
+@pytest.mark.parametrize("n", SAMPLED_DIGESTS, ids=lambda n: f"{n}-{SAMPLED_DIGESTS[n][AVX512]}")
+def test_sample_and_fit_bits(n):
+    assert _sampled_digest(n) == pinned(SAMPLED_DIGESTS[n])
 
 
 # ties (one point repeated: all shifts equal), a weight of exactly -1 or
@@ -89,3 +118,90 @@ def test_tied_and_pole_bits():
         neg = _feed_fit(h, fit_from_weights, -w)
         assert neg.theta_hat == -res.theta_hat
     assert h.hexdigest() == "cc52181aaf5204348f96e16f53948cfeed13bfb9c6ad38edf34af5d9fc10f827"
+
+
+def test_unrecorded_dispatch_fails_naming_it():
+    with pytest.raises(pytest.fail.Exception, match=re.escape(numpy_dispatch())):
+        pinned({"exp=none log1p=none log=none": "0" * 64})
+
+
+# lengths around numpy's 8192-element buffer, where a reduction or an
+# elementwise loop is split into chunks
+LONG = (8191, 8192, 8193)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _coordinates(n_max):
+    """Pairs of equal-length coordinate columns: drawn value by value up
+    to length ``n_max``, or exponential at a drawn scale at a LONG length."""
+    value = st.one_of(
+        st.sampled_from([0.0, math.log(2.0), 5e-324, 1e-300, 745.2, 1e308]),
+        st.floats(0.0, 800.0),
+    )
+    short = st.integers(0, n_max).flatmap(
+        lambda n: st.tuples(*[st.lists(value, min_size=n, max_size=n).map(np.array)] * 2)
+    )
+
+    def long(args):
+        n, scale, seed = args
+        rng = np.random.default_rng(seed)
+        return rng.exponential(scale, size=n), rng.exponential(scale, size=n)
+
+    return st.one_of(short, st.tuples(st.sampled_from(LONG), st.sampled_from([1.0, 100.0]),
+                                      st.integers(0, 2**32 - 1)).map(long))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coordinates(40))
+def test_weights_match_the_per_column_formula(xy):
+    x, y = xy
+    want = (2 * np.exp(-x) - 1) * (2 * np.exp(-y) - 1)
+    assert _same_bits(Dataset.from_arrays(x, y).weights, want)
+
+
+def _sample_per_column(n, theta, seed):
+    """Reference for :func:`sample`: the conditional inversion, with
+    -log1p(-.) taken on u and on v apart."""
+    draws = np.random.default_rng(seed).integers(1, 1 << 53, size=2 * n) * 0.5**53
+    u, t = draws[:n], draws[n:]
+    a = theta * (1.0 - 2.0 * u)
+    b = 1.0 + a
+    v_quad = 2.0 * t / (b + np.sqrt(np.maximum(b ** 2 - 4.0 * a * t, 0.0)))
+    v = np.where(np.abs(a) < 1e-12, t, v_quad)
+    return -np.log1p(-u), -np.log1p(-v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(1, 40), st.sampled_from(LONG)),
+       st.one_of(st.sampled_from(THETAS), st.floats(-1.0, 1.0)),
+       st.integers(0, 2**63 - 1))
+def test_sample_matches_the_per_column_inversion(n, theta, seed):
+    data = sample(n, theta, seed)
+    x, y = _sample_per_column(n, theta, seed)
+    assert _same_bits(data.x, x) and _same_bits(data.y, y)
+
+
+def _terms(n_max):
+    """Score terms q: drawn value by value up to length ``n_max``, or
+    uniform at a LONG length or at 1e6."""
+    short = st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=n_max).map(np.array)
+
+    def long(args):
+        n, seed = args
+        return np.random.default_rng(seed).uniform(-2.0, 2.0, size=n)
+
+    return st.one_of(short, st.tuples(st.sampled_from(LONG + (10**6,)),
+                                      st.integers(0, 2**32 - 1)).map(long))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms(300))
+def test_row_sums_match_three_reductions(q):
+    buf = np.empty((3, q.size))
+    buf[0] = q
+    want = (np.add.reduce(q), -np.add.reduce(q * q), np.add.reduce(np.abs(q)))
+    assert _same_bits(roots._sums(buf), want)

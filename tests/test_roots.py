@@ -188,7 +188,7 @@ class TestScoreRoot:
         # and at 0 the score is the sum of the weights
         calls = []
         real = roots._pass
-        monkeypatch.setattr(roots, "_pass", lambda w, t: calls.append(t) or real(w, t))
+        monkeypatch.setattr(roots, "_pass", lambda w, t, buf: calls.append(t) or real(w, t, buf))
         for n, seed in ((10**6, 42), (10**5, 1), (10**5, 2)):
             calls.clear()
             res = fit(sample(n, theta, seed))
