@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -46,9 +45,6 @@ __all__ = [
 # Two float shift values within this relative distance are treated as
 # equal (transitively), so the grouping is a partition.
 APPROX_REL_TOL = 1e-9
-
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
 
 
 class AllEqualError(ValueError):
@@ -117,18 +113,13 @@ def profile(c: Sequence) -> MultiplicityProfile:
     if len(values) == 0:
         raise ValueError("need at least one shift value")
     if polynomials.scalar_kind(values) == polynomials.RATIONAL:
-        # keyed by lowest-terms (numerator, denominator), which an int and
-        # the Fraction equal to it share: integer pairs hash several times
-        # faster than Fractions do
-        keys = list(zip(map(_numerator, values), map(_denominator, values)))
-        counts = Counter(keys)
-        if (0, 1) in counts:
+        # an int and the Fraction equal to it hash alike and share a key,
+        # so only keys that are integers need converting
+        counts = Counter(values)
+        if 0 in counts:
             raise ValueError("shift values must be nonzero")
         mults = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-        # filled in reverse, so each key keeps the first value that has it
-        first = dict(zip(reversed(keys), reversed(values)))
-        reps = [v if isinstance(v, Fraction) else Fraction(int(v))
-                for v in map(first.__getitem__, counts)]
+        reps = [v if isinstance(v, Fraction) else Fraction(int(v)) for v in counts]
         return MultiplicityProfile(reps, mults, "exact")
     if isinstance(values, np.ndarray):
         fl = np.asarray(values, dtype=float)
