@@ -18,6 +18,7 @@ import io
 import locale
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -334,23 +335,60 @@ def _parse_plain(text: str) -> Dataset | None:
     header splits into ``x`` and ``y``, every nonblank row splits on its
     single comma into two fields that ``float()`` accepts, and every
     value is finite and nonnegative.  On such text ``csv.reader`` reads
-    exactly these fields, so both parsers give the same dataset.
+    exactly these fields, so both parsers give the same dataset.  Every
+    file :func:`write_csv` writes qualifies.
+
+    No row string is built: :func:`_plain_rows` checks the rows on the
+    text's bytes, and one split yields the cells, so the cost is
+    essentially one ``float()`` per value.  A CRLF ending's carriage
+    return stays at the end of the y cell, where ``float()`` strips it
+    as whitespace, as ``csv.reader`` drops it with the ending.
     """
-    text = text.replace("\r\n", "\n")
-    if '"' in text or "\r" in text:
+    if '"' in text:
         return None
-    header, _, body = text.partition("\n")
+    header, _, _ = text.partition("\n")
     if [cell.strip() for cell in header.split(",")] != ["x", "y"]:
         return None
-    rows = [row for row in body.split("\n") if row]
-    if any(row.count(",") != 1 for row in rows):
+    text = _plain_rows(text)
+    if text is None:
         return None
-    cells = ",".join(rows).split(",") if rows else []
+    cells = text.replace("\n", ",").split(",")
+    # the header's two cells, two per row, and an empty one after a final line feed
+    stop = len(cells) - len(cells) % 2
     try:
-        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        values = np.fromiter(map(float, islice(cells, 2, stop)), dtype=float, count=stop - 2)
         return Dataset.from_arrays(values[0::2], values[1::2])
     except ValueError:
         return None
+
+
+def _plain_rows(text: str) -> str | None:
+    """``text`` without its blank rows (``""`` or ``"\\r"``), or None if
+    it has a lone carriage return or a nonblank row without exactly one
+    comma.
+
+    Checked on the UTF-8 bytes, where a multi-byte character never holds
+    a comma, a line feed or a carriage return.  A blank row fails
+    :func:`_one_comma_per_row`, so rows are split and rejoined only then.
+    """
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    cr = raw == ord("\r")
+    if np.count_nonzero(cr) != np.count_nonzero(cr[:-1] & (raw[1:] == ord("\n"))):
+        return None
+    if _one_comma_per_row(raw):
+        return text
+    text = "\n".join([row for row in text.split("\n") if row not in ("", "\r")])
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    return text if _one_comma_per_row(raw) else None
+
+
+def _one_comma_per_row(raw: np.ndarray) -> bool:
+    """Whether every row of the nonempty bytes ``raw`` holds one comma, an
+    empty last row aside: commas and line feeds alternate, comma first,
+    and the bytes end with a line feed or in a row past its comma."""
+    seps = raw[(raw == ord(",")) | (raw == ord("\n"))]
+    return bool((seps[0::2] == ord(",")).all() and (seps[1::2] == ord("\n")).all()
+                and (len(seps) % 2 or raw[-1] == ord("\n")))
 
 
 def _parse_csv(text: str) -> Dataset:

@@ -103,6 +103,10 @@ CASES = {
     "header only": ("x,y\n", True),
     "header only no newline": ("x,y", True),
     "mixed lf and crlf": ("x,y\r\n1,2\n3,4\r\n", True),
+    "crlf blank row between data rows": ("x,y\r\n1,2\r\n\r\n3,4\r\n", True),
+    "non-ascii digits": ("x,y\n\u0661.5,\u0662\n", True),
+    "vertical tab and form feed around values": ("x,y\n\x0b1\x0c,2\x0b\n", True),
+    "next line after a value": ("x,y\n1\x85,2\n", True),
     "empty file": ("", False),
     "blank first line": ("\nx,y\n1,2\n", False),
     "bad header": ("a,b\n1,2\n", False),
@@ -120,9 +124,14 @@ CASES = {
     "overflow to inf": ("x,y\n1e400,1\n", False),
     "negative": ("x,y\n1,2\n-1,2\n", False),
     "one field": ("x,y\n1,2\n3\n", False),
+    "one field in an unended last row": ("x,y\n1,2\n3", False),
     "three fields": ("x,y\n1,2,3\n", False),
     "trailing comma": ("x,y\n1,2,\n", False),
     "empty fields": ("x,y\n,\n", False),
+    "comma-only row": ("x,y\n1,2\n,\n3,4\n", False),
+    "one then three fields": ("x,y\n1\n2,3,4\n", False),
+    "three then one fields": ("x,y\n1,2,3\n4\n", False),
+    "file separator after a value": ("x,y\n1\x1c,2\n", False),
     "whitespace-only row": ("x,y\n1,2\n  \n", False),
     "non-numeric": ("x,y\n1,2\nbogus,3\n", False),
     "negative before non-numeric": ("x,y\n1,2\n-1,2\n3,4\nbogus,5\n", False),
@@ -148,7 +157,17 @@ def test_written_files_take_the_bulk_path(tmp_path):
     assert model._parse_plain(text) == data
 
 
-VALID = ["1.5", " 2 ", "0", "-0.0", "7e-3", "1_0", "4.25\t", "0.1"]
+def test_benchmark_size_file_reads_back_bit_for_bit(tmp_path):
+    data = model.sample(100_000, 0.3, 5)
+    path = tmp_path / "data.csv"
+    model.write_csv(path, data)
+    assert model._parse_plain(path.read_bytes().decode("utf-8")) is not None
+    got = read_csv(path)
+    assert got.x.tobytes() == data.x.tobytes()
+    assert got.y.tobytes() == data.y.tobytes()
+
+
+VALID = ["1.5", " 2 ", "0", "-0.0", "7e-3", "1_0", "4.25\t", "0.1", "\u0663.\u0665", "\x0c0.5\x0c"]
 INVALID = ["1e400", "nan", "inf", "-1", "", "abc", '"3"', "\x00"]
 HEADERS = ["x,y", " x , y", "x, y", "X,Y", "x", "x,y,z", '"x",y', ""]
 
