@@ -8,8 +8,11 @@ Four subcommands, all emitting a single JSON document on stdout:
 * ``verify``    -- randomized cross-check campaign over exact rationals
 
 Exit codes: 0 success (including the structured all-equal answer),
-1 verification failures, 2 malformed data or bad arguments, 3 statistical
-degeneracy (no usable observations).
+1 verification failures, 2 malformed data or a bad argument, 3
+statistical degeneracy (no usable observations).  Every argument rule
+lives in the argument's argparse type, so every bad argument (a negative
+``sample --seed`` among them) exits 2 with argparse's usage message, and
+the subcommands see only parsed values.
 """
 
 from __future__ import annotations
@@ -242,11 +245,7 @@ def cmd_fit(args) -> int:
 
 def cmd_mldegree(args) -> int:
     if args.c is not None:
-        try:
-            values = [polynomials.parse_rational(tok) for tok in args.c]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        values = args.c
         mode = "exact"
     else:
         if (data := _load(args.in_path)) is None:
@@ -281,23 +280,7 @@ def cmd_mldegree(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    patterns = None
-    if args.pattern:
-        patterns = []
-        for tok in args.pattern:
-            if tok.strip() == "n":
-                patterns.append("n")
-                continue
-            try:
-                shape = tuple(int(part) for part in tok.split(","))
-            except ValueError:
-                print(f"error: bad pattern {tok!r}", file=sys.stderr)
-                return 2
-            if any(mult < 2 for mult in shape):
-                print(f"error: pattern multiplicities must be >= 2: {tok!r}", file=sys.stderr)
-                return 2
-            patterns.append(shape)
-    campaign = run_campaign(args.trials, args.n_max, args.seed, patterns)
+    campaign = run_campaign(args.trials, args.n_max, args.seed, args.pattern)
     _emit(campaign.to_json_dict(), args.pretty)
     return 0 if campaign.passed else 1
 
@@ -305,18 +288,39 @@ def cmd_verify(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """Argument type: an integer >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
-def _theta_arg(text: str) -> float:
-    try:
-        return model.validate_theta(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _pattern_arg(text: str):
+    """Argument type: ``"n"`` (all equal), or a tuple of multiplicities >= 2."""
+    if text.strip() == "n":
+        return "n"
+    return tuple(map(_int_at_least(2), text.split(",")))
+
+
+def _value_arg(parse):
+    """Argument type from a parser that raises ValueError, whose message
+    becomes the usage error."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,9 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", parents=[common], help="write a simulated CSV dataset")
-    p.add_argument("--n", type=_positive_int, required=True, help="sample size")
-    p.add_argument("--theta", type=_theta_arg, required=True, help="association in [-1, 1]")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="sample size")
+    p.add_argument("--theta", type=_value_arg(model.validate_theta), required=True,
+                   help="association in [-1, 1]")
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_sample)
 
@@ -343,17 +348,19 @@ def build_parser() -> argparse.ArgumentParser:
     # let negative rational literals like -9/12 pass as values, not options
     p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--c", nargs="+", help="explicit shift values as p/q literals (exact)")
+    group.add_argument("--c", nargs="+", type=_value_arg(polynomials.parse_rational),
+                       help="explicit shift values as p/q literals (exact)")
     group.add_argument("--in", dest="in_path", help="dataset CSV path (approximate)")
     p.set_defaults(func=cmd_mldegree, c=None, in_path=None)
 
     p = sub.add_parser("verify", parents=[common], help="randomized cross-check campaign")
-    p.add_argument("--trials", type=_positive_int, default=500)
-    p.add_argument("--n-max", dest="n_max", type=int, default=10)
+    p.add_argument("--trials", type=_int_at_least(1), default=500)
+    p.add_argument("--n-max", dest="n_max", type=_int_at_least(2), default=10)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(
         "--pattern",
         action="append",
+        type=_pattern_arg,
         help="force repetition shapes, e.g. '2,2' or '3'; 'n' means all equal "
         "(repeatable; default draws a random shape per trial)",
     )
@@ -362,10 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and args.n_max < 2:
-        parser.error("--n-max must be >= 2")
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

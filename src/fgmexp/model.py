@@ -96,9 +96,16 @@ def _check_point(x: float, y: float) -> None:
         raise ValueError(f"coordinates must be nonnegative, got ({x}, {y})")
 
 
-def _weights(x, y):
-    """w = (2 exp(-x) - 1)(2 exp(-y) - 1), elementwise."""
-    return (2.0 * np.exp(-x) - 1.0) * (2.0 * np.exp(-y) - 1.0)
+def _weights(x, y) -> np.ndarray:
+    """w = (2 exp(-x) - 1)(2 exp(-y) - 1), elementwise: the factors in
+    place in one (2, ...) float64 copy of the coordinates, so every stage
+    runs once over both, then the product of its two rows."""
+    f = np.array((x, y), dtype=float)
+    np.negative(f, out=f)
+    np.exp(f, out=f)
+    f *= 2.0
+    f -= 1.0
+    return f[0] * f[1]
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -160,12 +167,7 @@ class Dataset:
         ):
             i = int(np.flatnonzero(~((xy >= 0.0) & (xy < math.inf)).all(axis=0))[0])
             _check_point(float(xy[0, i]), float(xy[1, i]))
-        # w = (2 exp(-x) - 1)(2 exp(-y) - 1): the factors in place, both rows at once
-        f = np.negative(xy)
-        np.exp(f, out=f)
-        f *= 2.0
-        f -= 1.0
-        w = f[0] * f[1]
+        w = _weights(xy[0], xy[1])
         xy.setflags(write=False)
         w.setflags(write=False)
         data = cls.__new__(cls)
@@ -368,27 +370,29 @@ def _plain_rows(text: str) -> str | None:
     comma.
 
     Checked on the UTF-8 bytes, where a multi-byte character never holds
-    a comma, a line feed or a carriage return.  A blank row fails
-    :func:`_one_comma_per_row`, so rows are split and rejoined only then.
+    a comma, a line feed or a carriage return, with one line feed mask:
+    every carriage return must be followed by a line feed, and every row
+    holds one comma when commas and line feeds alternate, comma first,
+    and the bytes end with a line feed or in a row past its comma.  A
+    blank row breaks that alternation, so only then are the rows split,
+    rejoined without the blank ones and the result checked in turn.
     """
     raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    cr = raw == ord("\r")
-    if np.count_nonzero(cr) != np.count_nonzero(cr[:-1] & (raw[1:] == ord("\n"))):
+    lf = raw == ord("\n")
+    mask = raw == ord("\r")
+    crs = np.count_nonzero(mask)
+    mask[:-1] &= lf[1:]
+    if np.count_nonzero(mask[:-1]) != crs:
         return None
-    if _one_comma_per_row(raw):
+    np.equal(raw, ord(","), out=mask)
+    mask |= lf
+    seps = raw[mask]
+    if ((seps[0::2] == ord(",")).all() and (seps[1::2] == ord("\n")).all()
+            and (len(seps) % 2 or lf[-1])):
         return text
-    text = "\n".join([row for row in text.split("\n") if row not in ("", "\r")])
-    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    return text if _one_comma_per_row(raw) else None
-
-
-def _one_comma_per_row(raw: np.ndarray) -> bool:
-    """Whether every row of the nonempty bytes ``raw`` holds one comma, an
-    empty last row aside: commas and line feeds alternate, comma first,
-    and the bytes end with a line feed or in a row past its comma."""
-    seps = raw[(raw == ord(",")) | (raw == ord("\n"))]
-    return bool((seps[0::2] == ord(",")).all() and (seps[1::2] == ord("\n")).all()
-                and (len(seps) % 2 or raw[-1] == ord("\n")))
+    # a line feed after every kept row, so no carriage return turns lone
+    rows = "\n".join([row for row in text.split("\n") if row not in ("", "\r")] + [""])
+    return None if rows == text else _plain_rows(rows)
 
 
 def _parse_csv(text: str) -> Dataset:

@@ -220,8 +220,10 @@ class TestMlDegree:
         assert "caveat" in doc
         assert doc["dropped"] == 0
 
-    def test_bad_literal_exit_2(self, capsys):
-        assert main(["mldegree", "--c", "x/y"]) == 2
+    def test_bad_literal_exit_2(self):
+        with pytest.raises(SystemExit) as err:
+            main(["mldegree", "--c", "x/y"])
+        assert err.value.code == 2
 
     def test_requires_exactly_one_input(self):
         with pytest.raises(SystemExit) as err:
@@ -323,6 +325,41 @@ class TestVerify:
         assert campaign.failures == sorted(
             campaign.failures, key=lambda f: (f["trial"], f["check"])
         )
+
+
+def _sample(n="3", theta="0.3", seed="1"):
+    return ["sample", "--n", n, "--theta", theta, "--seed", seed]
+
+
+# each argv breaks the rule of the one argument named beside it
+BAD_ARGUMENTS = [
+    ("--n", _sample(n="0")),
+    ("--n", _sample(n="abc")),
+    ("--theta", _sample(theta="2")),
+    ("--seed", _sample(seed="-1")),
+    ("--trials", ["verify", "--trials", "0"]),
+    ("--n-max", ["verify", "--n-max", "1"]),
+    ("--pattern", ["verify", "--pattern", "1"]),
+    ("--pattern", ["verify", "--pattern", "2,x"]),
+    ("--c", ["mldegree", "--c", "x/y"]),
+    ("--c", ["mldegree", "--c", "1/0"]),
+]
+
+
+@pytest.mark.parametrize("option,argv", BAD_ARGUMENTS,
+                         ids=[" ".join(argv) for _, argv in BAD_ARGUMENTS])
+def test_bad_argument_is_a_usage_error(tmp_path, capsys, option, argv):
+    out = tmp_path / "never.csv"
+    if argv[0] == "sample":
+        argv = argv + ["--out", str(out)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: fgmexp {argv[0]} ")
+    assert f"error: argument {option}: " in captured.err
+    assert not out.exists()
 
 
 class TestOutputModes:

@@ -13,7 +13,8 @@ taken on its AVX2 and baseline loops, which agree with each other.
 The tests below them use no stored digest.  They pin the one-buffer
 stages against the same arithmetic done column by column: the weights
 of ``Dataset.from_arrays``, the coordinates of ``sample`` and the row
-sums of the Newton pass.  They fail on any dispatch whose kernels
+sums of the Newton pass; and ``density`` against the weight
+``from_arrays`` gives its point.  They fail on any dispatch whose kernels
 round a lane differently by its position in the buffer.
 """
 
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 
 from fgmexp import roots
 from fgmexp.mle import NoDataError, fit, fit_from_weights
-from fgmexp.model import Dataset, sample
+from fgmexp.model import Dataset, density, sample
 
 # 1e-13 takes the |A| < 1e-12 branch of the conditional quantile
 THETAS = (-1.0, -0.5, 0.0, 1e-13, 0.5, 1.0)
@@ -150,6 +151,17 @@ def test_weights_match_the_per_column_formula(xy):
     x, y = xy
     want = (2 * np.exp(-x) - 1) * (2 * np.exp(-y) - 1)
     assert _same_bits(Dataset.from_arrays(x, y).weights, want)
+
+
+_POINT = st.one_of(st.sampled_from([0.0, math.log(2.0), 5e-324, 745.2, 1e308]),
+                   st.floats(0.0, 800.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POINT, _POINT, st.one_of(st.sampled_from(THETAS), st.floats(-1.0, 1.0)))
+def test_density_takes_the_weight_of_from_arrays(x, y, theta):
+    w = float(Dataset.from_arrays([x], [y]).weights[0])
+    assert _same_bits(density(x, y, theta), math.exp(-(x + y)) * (1.0 + theta * w))
 
 
 def _sample_per_column(n, theta, seed):

@@ -107,6 +107,11 @@ CASES = {
     "non-ascii digits": ("x,y\n\u0661.5,\u0662\n", True),
     "vertical tab and form feed around values": ("x,y\n\x0b1\x0c,2\x0b\n", True),
     "next line after a value": ("x,y\n1\x85,2\n", True),
+    # blank rows are dropped and the commas checked again; the carriage
+    # return check ran before, on the file as read
+    "crlf ending before a trailing blank row": ("x,y\r\n1,2\r\n\r\n", True),
+    "carriage-return-only row at the end": ("x,y\n1,2\n\r\n", True),
+    "blank rows only": ("x,y\n\n\r\n\n", True),
     "empty file": ("", False),
     "blank first line": ("\nx,y\n1,2\n", False),
     "bad header": ("a,b\n1,2\n", False),
@@ -119,6 +124,11 @@ CASES = {
     "lone carriage return endings": ("x,y\r1,2\r3,4\r", False),
     "lone carriage return in a row": ("x,y\n1,2\r3,4\n", False),
     "carriage return before crlf": ("x,y\n1,2\r\r\n", False),
+    "carriage return at the very end": ("x,y\n1,2\r", False),
+    "blank row before a lone carriage return": ("x,y\n\n1,2\r3,4\n", False),
+    "blank row before three fields": ("x,y\n\n1,2,3\n", False),
+    "blank row before an unended one-field row": ("x,y\n\n1,2\n3", False),
+    "blank row before a comma-only row": ("x,y\n\n1,2\n,\n", False),
     "nan": ("x,y\nnan,1\n", False),
     "inf": ("x,y\n1,inf\n", False),
     "overflow to inf": ("x,y\n1e400,1\n", False),
