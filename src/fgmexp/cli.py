@@ -11,8 +11,11 @@ Exit codes: 0 success (including the structured all-equal answer),
 1 verification failures, 2 malformed data or a bad argument, 3
 statistical degeneracy (no usable observations).  Every argument rule
 lives in the argument's argparse type, so every bad argument (a negative
-``sample --seed`` among them) exits 2 with argparse's usage message, and
-the subcommands see only parsed values.
+``sample --seed`` and a zero ``mldegree --c`` shift among them) exits 2
+with argparse's usage message, and the subcommands see only parsed
+values.  The ``--c`` type checks each literal with the library's own
+exact shift-value check, so the rule and its message live only in
+:mod:`~fgmexp.polynomials`.
 """
 
 from __future__ import annotations
@@ -258,21 +261,18 @@ def cmd_mldegree(args) -> int:
         mode = "approx"
     try:
         doc = mldegree.ml_degree_report(values)
-    except ValueError as exc:
-        if isinstance(exc, mldegree.AllEqualError):
-            _emit(
-                {
-                    "mode": mode,
-                    "n": exc.n,
-                    "all_equal": True,
-                    "boundary_mle": exc.boundary_mle,
-                    "message": str(exc),
-                },
-                args.pretty,
-            )
-            return 0
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except mldegree.AllEqualError as exc:
+        _emit(
+            {
+                "mode": mode,
+                "n": exc.n,
+                "all_equal": True,
+                "boundary_mle": exc.boundary_mle,
+                "message": str(exc),
+            },
+            args.pretty,
+        )
+        return 0
     if mode == "approx":
         doc["dropped"] = len(shift.degenerate_indices)
     _emit(doc, args.pretty)
@@ -323,6 +323,14 @@ def _value_arg(parse):
     return convert
 
 
+def _shift_arg(text: str) -> Fraction:
+    """Argument type: a ``p/q`` literal that the exact shift-value rule
+    of :mod:`~fgmexp.polynomials` accepts."""
+    value = polynomials.parse_rational(text)
+    polynomials._exact_shifts([value])
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fgmexp",
@@ -348,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     # let negative rational literals like -9/12 pass as values, not options
     p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--c", nargs="+", type=_value_arg(polynomials.parse_rational),
-                       help="explicit shift values as p/q literals (exact)")
+    group.add_argument("--c", nargs="+", type=_value_arg(_shift_arg),
+                       help="explicit nonzero shift values as p/q literals (exact)")
     group.add_argument("--in", dest="in_path", help="dataset CSV path (approximate)")
     p.set_defaults(func=cmd_mldegree, c=None, in_path=None)
 

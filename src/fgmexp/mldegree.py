@@ -104,29 +104,26 @@ class MultiplicityProfile:
 def profile(c: Sequence) -> MultiplicityProfile:
     """Group the shift values by equality; the scalar types pick the mode.
 
-    All rational (Fraction or int) values are compared exactly; anything
-    else (floats, or a mixture) is compared approximately: floats whose
-    gap is within ``1e-9 * max(1, |value|)`` are grouped, closed
-    transitively so the result is a partition.
+    All rational (Fraction or int) values are compared exactly, as
+    lowest-terms integer pairs, and each group is represented by the
+    Fraction of its pair; anything else (floats, or a mixture) is
+    compared approximately: floats whose gap is within
+    ``1e-9 * max(1, |value|)`` are grouped, closed transitively so the
+    result is a partition.
+
+    The values pass the check :func:`~fgmexp.polynomials.build_k` makes,
+    with its one message per condition: ValueError ``need at least one
+    shift value`` for no values, ``shift values must be nonzero`` for a
+    zero rational value, and ``shift values must be finite and nonzero``
+    for a float value that is zero, infinite or NaN.
     """
     values = c if isinstance(c, np.ndarray) and c.ndim == 1 else list(c)
-    if len(values) == 0:
-        raise ValueError("need at least one shift value")
     if polynomials.scalar_kind(values) == polynomials.RATIONAL:
-        # an int and the Fraction equal to it hash alike and share a key,
-        # so only keys that are integers need converting
-        counts = Counter(values)
-        if 0 in counts:
-            raise ValueError("shift values must be nonzero")
+        # (d, n) pairs of ints hash at C speed, where Fractions do not
+        counts = Counter(polynomials._exact_shifts(values))
         mults = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-        reps = [v if isinstance(v, Fraction) else Fraction(int(v)) for v in counts]
-        return MultiplicityProfile(reps, mults, "exact")
-    if isinstance(values, np.ndarray):
-        fl = np.asarray(values, dtype=float)
-    else:
-        fl = np.asarray([float(v) for v in values], dtype=float)
-    if not np.all(np.isfinite(fl)) or np.any(fl == 0.0):
-        raise ValueError("shift values must be finite and nonzero")
+        return MultiplicityProfile([Fraction(n, d) for d, n in counts], mults, "exact")
+    fl = polynomials._float_shifts(values)
     # sorted neighbours more than the tolerance apart start a new group;
     # the sort need not be stable, as a group's representative is its
     # smallest index wherever ties land
@@ -170,9 +167,18 @@ def ml_degree_algebraic(c: Sequence) -> int:
     Must agree with :func:`ml_degree_formula` on every input; the pair of
     routes is the correctness oracle for both.  Raises ScalarModeError
     for a value that is not rational; otherwise the errors of the exact
-    :func:`profile` and :func:`ml_degree_formula`: ValueError for no
-    values or a zero value, and :class:`AllEqualError` when every value
-    is equal.
+    :func:`profile` and :func:`ml_degree_formula`, with their messages:
+    ValueError for no values or a zero value, from the one exact check
+    in :mod:`~fgmexp.polynomials`, and :class:`AllEqualError` when every
+    value is equal.
+
+    The all-equal case is read off the count itself: for n >= 2 the
+    count is 0 exactly when every value is equal.  A count of 0 means
+    that h, of degree n - 1, is its gcd with k, so h divides k and
+    k = h (theta + a) / n; then k'/k = n / (theta + a), and since k'/k is
+    also the sum of the 1/(theta + c_i), partial fractions give c_i = a
+    for every i.  Conversely n equal values give h = n (theta + a)^(n-1),
+    which divides k.
     """
     return _algebraic_count_and_h(list(c))[0]
 
@@ -185,10 +191,11 @@ def _algebraic_count_and_h(values: list) -> tuple[int, polynomials.Poly]:
     if values and not isinstance(values[0], (Fraction, int, np.integer)):
         raise ScalarModeError("exact mode requires rational (Fraction/int) values")
     k = polynomials.build_k(values)  # rejects no values, zero values and mixtures
-    if len(values) >= 2 and all(v == values[0] for v in values):
-        raise AllEqualError(Fraction(values[0]), len(values))
     h = k.derivative()
-    return int(h.degree - polynomials.gcd(h, k).degree), h
+    count = int(h.degree - polynomials.gcd(h, k).degree)
+    if count == 0 and len(values) >= 2:
+        raise AllEqualError(Fraction(values[0]), len(values))
+    return count, h
 
 
 def _serialize_value(v):

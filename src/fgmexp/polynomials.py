@@ -15,6 +15,11 @@ Two scalar kinds are supported and never mixed silently:
 * ``"float"`` -- double precision; used for measured data, where only
   evaluation and numerical root finding are meaningful.
 
+The shift values c_i are checked here, by one check per kind, for
+:func:`build_k`, :func:`fgmexp.mldegree.profile` and the CLI alike:
+there must be at least one, an exact value must be nonzero, and a float
+value finite and nonzero.
+
 The exact operations work on integers from start to finish.  A rational
 polynomial is held as a primitive integer vector times a rational scale,
 and the Fraction coefficients are built only when a caller reads them.
@@ -60,6 +65,8 @@ RATIONAL = "rational"
 FLOAT = "float"
 
 Scalar = Union[Fraction, float]
+
+_NO_SHIFTS = "need at least one shift value"
 
 
 class ScalarModeError(TypeError):
@@ -225,13 +232,39 @@ def _rational(ints: list[int], scale: Fraction) -> Poly:
     return p
 
 
+def _exact_shifts(values: Sequence) -> list[tuple[int, int]]:
+    """The rational shift values n/d in lowest terms as (d, n) integer
+    pairs, in order.  ValueError for no values or a zero value; these
+    are the only messages the exact shift-value rule gives."""
+    # int() turns numpy integers into Python ones, which do not wrap
+    pairs = [(v.denominator, v.numerator) if isinstance(v, Fraction) else (1, int(v))
+             for v in values]
+    if not pairs:
+        raise ValueError(_NO_SHIFTS)
+    if not all(n for _, n in pairs):
+        raise ValueError("shift values must be nonzero")
+    return pairs
+
+
+def _float_shifts(values: Sequence) -> np.ndarray:
+    """The shift values as a float64 array, each value converted by
+    float() unless ``values`` is an ndarray.  ValueError for no values
+    or a value that is zero or not finite; these are the only messages
+    the float shift-value rule gives."""
+    fl = np.asarray(values if isinstance(values, np.ndarray) else [float(v) for v in values],
+                    dtype=float)
+    if not fl.size:
+        raise ValueError(_NO_SHIFTS)
+    if not (np.isfinite(fl) & (fl != 0.0)).all():
+        raise ValueError("shift values must be finite and nonzero")
+    return fl
+
+
 def _linear_factors(c: Sequence) -> tuple[list, str]:
     """The checked shift values as factors (a theta + b), as (a, b) pairs,
     and their kind: (d, n) for a rational value n/d in lowest terms,
     (1.0, c) for a float value c."""
     values = list(c)
-    if len(values) == 0:
-        raise ValueError("need at least one shift value")
     kind = scalar_kind(values)
     if kind is None:
         raise ScalarModeError(
@@ -239,19 +272,8 @@ def _linear_factors(c: Sequence) -> tuple[list, str]:
             "or all float"
         )
     if kind == RATIONAL:
-        # int() turns numpy integers into Python ones, which do not wrap
-        pairs = [(v.denominator, v.numerator) if isinstance(v, Fraction) else (1, int(v))
-                 for v in values]
-        if not all(n for _, n in pairs):
-            raise ValueError("shift values must be nonzero")
-        return pairs, kind
-    values = [float(v) for v in values]
-    for v in values:
-        if v == 0:
-            raise ValueError("shift values must be nonzero")
-        if not math.isfinite(v):
-            raise ValueError("shift values must be finite")
-    return [(1.0, v) for v in values], kind
+        return _exact_shifts(values), kind
+    return [(1.0, v) for v in _float_shifts(values).tolist()], kind
 
 
 def build_k(c: Sequence) -> Poly:
@@ -265,6 +287,14 @@ def build_k(c: Sequence) -> Poly:
     whose products by 1.0 are exact.  The integer factors are primitive,
     and so, by Gauss's lemma, is their product; the monic k is that
     product over the product of the d_i, its leading coefficient.
+
+    Raises ScalarModeError for a mixture of the two kinds, and
+    ValueError with one message per condition: ``need at least one
+    shift value`` for no values, ``shift values must be nonzero`` for a
+    zero rational value, and ``shift values must be finite and
+    nonzero`` for a float value that is zero, infinite or NaN.
+    :func:`fgmexp.mldegree.profile` checks its values with the same two
+    checks, so it raises the same messages.
     """
     pairs, kind = _linear_factors(c)
     coeffs = [1] if kind == RATIONAL else [1.0]
@@ -300,8 +330,10 @@ _PRIMES = tuple((1 << 30) - d for d in (
     1323, 1335, 1347, 1361,
 ))
 
-# Miller-Rabin with these bases decides primality for every n < 3.3e24.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with these bases decides primality for every n below
+# 3 215 031 751 (Pomerance, Selfridge and Wagstaff, Math. Comp. 35,
+# 1980), which covers every candidate _primes() tests: all lie below 2**30.
+_WITNESSES = (2, 3, 5, 7)
 
 
 def _is_prime(n: int) -> bool:

@@ -343,6 +343,8 @@ BAD_ARGUMENTS = [
     ("--pattern", ["verify", "--pattern", "2,x"]),
     ("--c", ["mldegree", "--c", "x/y"]),
     ("--c", ["mldegree", "--c", "1/0"]),
+    ("--c", ["mldegree", "--c", "0", "1"]),
+    ("--c", ["mldegree", "--c", "1/2", "0"]),
 ]
 
 

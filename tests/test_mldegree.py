@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,9 @@ F = Fraction
 rationals = st.fractions(
     min_value=F(-20), max_value=F(20), max_denominator=12
 ).filter(lambda v: v != 0)
+big_rationals = st.builds(lambda sign, num, den: F(sign * num, den), st.sampled_from((1, -1)),
+                          st.integers(min_value=2**199, max_value=2**200 - 1),
+                          st.integers(min_value=1, max_value=2**64))
 
 
 @st.composite
@@ -39,6 +43,28 @@ def repeated_multisets(draw, max_n=12):
         c.append(draw(rationals.filter(lambda v: v != c[0])))
     perm = draw(st.permutations(c))
     return list(perm)
+
+
+@st.composite
+def exact_shifts(draw):
+    """Nonzero exact shift values with repeats, each occurrence drawn as
+    a Fraction or, where its value allows, an int, an np.int64 or True;
+    some numerators have about 200 bits."""
+    small_ints = st.integers(min_value=-20, max_value=20).filter(bool).map(F)
+    big_ints = st.integers(min_value=2**199, max_value=2**200).map(F)
+    pool = draw(st.lists(st.one_of(rationals, small_ints, big_rationals, big_ints),
+                         min_size=1, max_size=6))
+    c = []
+    for v in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20)):
+        forms = [v]
+        if v.denominator == 1:
+            forms.append(v.numerator)
+            if abs(v.numerator) < 2**63:
+                forms.append(np.int64(v.numerator))
+            if v == 1:
+                forms.append(True)
+        c.append(draw(st.sampled_from(forms)))
+    return c
 
 
 class TestProfile:
@@ -97,6 +123,36 @@ class TestProfile:
         prof = profile([7, F(2), F(14, 2), np.int64(1), F(1)])
         assert list(zip(prof.values, prof.mults)) == [(F(7), 2), (F(2), 1), (F(1), 2)]
         assert all(type(v) is F and type(v.numerator) is int for v in prof.values)
+
+    @given(exact_shifts())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_groups_are_a_counter_of_fractions(self, c):
+        prof = profile(c)
+        want = Counter(F(v) for v in c)
+        assert prof.mode == "exact"
+        assert prof.values == list(want)
+        assert prof.mults.tolist() == list(want.values())
+        assert all(type(v) is F and type(v.numerator) is int for v in prof.values)
+
+    @pytest.mark.parametrize("c,message", [
+        ([], "need at least one shift value"),
+        ([0], "shift values must be nonzero"),
+        ([F(0), F(1)], "shift values must be nonzero"),
+        ([0.0], "shift values must be finite and nonzero"),
+        ([np.inf], "shift values must be finite and nonzero"),
+        (np.array([1.0, np.nan]), "shift values must be finite and nonzero"),
+        (np.array([], dtype=float), "need at least one shift value"),
+    ], ids=repr)
+    def test_checks_shifts_as_build_k_does(self, c, message):
+        # one rule, one message per condition, whichever entry point runs it
+        entry_points = [profile, build_k]
+        if polynomials.scalar_kind(c) == polynomials.RATIONAL:
+            entry_points.append(ml_degree_algebraic)
+        for entry_point in entry_points:
+            with pytest.raises(ValueError) as err:
+                entry_point(c)
+            assert type(err.value) is ValueError
+            assert str(err.value) == message
 
 
 def loop_profile_groups(values):
@@ -274,9 +330,6 @@ def sympy_ml_degree(c):
     return h.degree() - sympy.gcd(h, k).degree()
 
 
-big_rationals = st.builds(lambda sign, num, den: F(sign * num, den), st.sampled_from((1, -1)),
-                          st.integers(min_value=2**199, max_value=2**200 - 1),
-                          st.integers(min_value=1, max_value=2**64))
 oracle_values = st.one_of(
     st.integers(min_value=-20, max_value=20).filter(lambda v: v != 0), rationals, big_rationals)
 

@@ -270,10 +270,18 @@ class TestGcd:
         assert got.coeffs == tuple(F(int(c.p), int(c.q)) for c in reversed(want.all_coeffs()))
 
     def test_primes_are_the_largest_below_two_to_the_30(self):
-        primes = list(itertools.islice(polynomials._primes(), len(polynomials._PRIMES) + 8))
+        # 400 primes run well past the table into the Miller-Rabin
+        # candidates, and the sweep checks the primality test on the top
+        # 200 000 numbers, where those candidates come from first
+        primes = list(itertools.islice(polynomials._primes(), 400))
         assert primes[0] == sympy.prevprime(2**30)
         assert all(sympy.isprime(q) for q in primes)
         assert all(sympy.prevprime(hi) == lo for hi, lo in zip(primes, primes[1:]))
+        for n in range(2**30 - 200_000 + 1, 2**30, 2):
+            assert polynomials._is_prime(n) == sympy.isprime(n), n
+        # the smallest strong pseudoprimes to the bases {2}, {2, 3} and
+        # {2, 3, 5}: each witness in the set is needed
+        assert not any(map(polynomials._is_prime, (2047, 1373653, 25326001)))
 
     @pytest.mark.parametrize("unlucky", [(0, 1, 2), (1, 2), (3,)])
     def test_unlucky_primes_are_dropped(self, unlucky):
