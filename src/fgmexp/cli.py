@@ -254,6 +254,7 @@ def cmd_mldegree(args) -> int:
         if (data := _load(args.in_path)) is None:
             return 2
         shift = model.c_shift(data)
+        del data  # the shifts are all the report needs; free the columns before it runs
         if shift.values.size == 0:
             print("error: no usable observations (all weights are zero)", file=sys.stderr)
             return 3

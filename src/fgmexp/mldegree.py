@@ -109,7 +109,11 @@ def profile(c: Sequence) -> MultiplicityProfile:
     Fraction of its pair; anything else (floats, or a mixture) is
     compared approximately: floats whose gap is within
     ``1e-9 * max(1, |value|)`` are grouped, closed transitively so the
-    result is a partition.
+    result is a partition.  The float grouping sorts the values once,
+    builds the tolerance of each pair of sorted neighbours in one buffer
+    and frees it with the sorted copy before the representatives are
+    listed; it orders the groups by scattering each size to its group's
+    first index, not by a second sort.
 
     The values pass the check :func:`~fgmexp.polynomials.build_k` makes,
     with its one message per condition: ValueError ``need at least one
@@ -124,18 +128,29 @@ def profile(c: Sequence) -> MultiplicityProfile:
         mults = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
         return MultiplicityProfile([Fraction(n, d) for d, n in counts], mults, "exact")
     fl = polynomials._float_shifts(values)
-    # sorted neighbours more than the tolerance apart start a new group;
     # the sort need not be stable, as a group's representative is its
     # smallest index wherever ties land
     order = np.argsort(fl)
-    s = fl[order]
-    tol = APPROX_REL_TOL * np.maximum(1.0, np.maximum(np.abs(s[:-1]), np.abs(s[1:])))
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(s) > tol)))
-    mults = np.diff(np.append(starts, len(s)))
-    # representative = first-appearing member, groups in first-appearance order
-    first = np.minimum.reduceat(order, starts)
-    by_first = np.argsort(first)
-    return MultiplicityProfile(fl[first[by_first]].tolist(), mults[by_first], "approx")
+    starts = _group_starts(fl[order])
+    # each group's size at its smallest index: the nonzero entries, in
+    # index order, are the groups in order of first appearance
+    sizes = np.zeros(len(fl), dtype=np.int64)
+    sizes[np.minimum.reduceat(order, starts)] = np.diff(starts, append=len(fl))
+    first = np.flatnonzero(sizes)
+    return MultiplicityProfile(fl[first].tolist(), sizes[first], "approx")
+
+
+def _group_starts(s: np.ndarray) -> np.ndarray:
+    """Indices into the sorted float values ``s`` that start a group: a
+    value more than the tolerance above its predecessor.  The sorted
+    copy and the tolerance end with the call."""
+    # the tolerance in one buffer: for sorted neighbours a <= b,
+    # max(|a|, |b|) is exactly max(-a, b), as max only selects
+    tol = -s[:-1]
+    np.maximum(tol, s[1:], out=tol)
+    np.maximum(tol, 1.0, out=tol)
+    tol *= APPROX_REL_TOL
+    return np.flatnonzero(np.concatenate(([True], np.diff(s) > tol)))
 
 
 def common_zeros(prof: MultiplicityProfile) -> tuple[tuple, ...]:

@@ -307,6 +307,11 @@ def read_csv(path) -> Dataset:
     field over its size limit, and a byte the locale's text encoding
     cannot decode.
     Blank rows are skipped.
+
+    A file :func:`write_csv` wrote is parsed block by block
+    (:func:`_parse_plain`), so beyond the decoded text and the dataset
+    the parse holds one block of cells at a time; any other file is
+    read row by row by ``csv.reader``.
     """
     text = _read_text(path)
     data = _parse_plain(text)
@@ -329,6 +334,11 @@ def _read_text(path) -> str:
         ) from None
 
 
+# Characters of text per block of the bulk parse: a block runs on to the
+# first line feed at or past this length, so it always ends a row.
+_READ_BLOCK_CHARS = 1 << 18
+
+
 def _parse_plain(text: str) -> Dataset | None:
     """Bulk parse of a file that needs none of the csv module's rules.
 
@@ -340,26 +350,43 @@ def _parse_plain(text: str) -> Dataset | None:
     exactly these fields, so both parsers give the same dataset.  Every
     file :func:`write_csv` writes qualifies.
 
-    No row string is built: :func:`_plain_rows` checks the rows on the
-    text's bytes, and one split yields the cells, so the cost is
-    essentially one ``float()`` per value.  A CRLF ending's carriage
-    return stays at the end of the y cell, where ``float()`` strips it
-    as whitespace, as ``csv.reader`` drops it with the ending.
+    The header line is checked once; the rows after it are walked in
+    blocks of about ``_READ_BLOCK_CHARS`` characters, each cut just
+    after a line feed, so a row, a blank row or a CRLF ending never
+    straddles two blocks.  Each block gets :func:`_plain_rows`' check on
+    its bytes, one split into cells and one ``float()`` per cell, and
+    its values go into one float64 array sized by the count of line
+    feeds, which bounds the count of rows.  So no row string is built,
+    and beyond the text and the array only one block's cells are held
+    at a time.  A CRLF ending's carriage return stays at the end of the
+    y cell, where ``float()`` strips it as whitespace, as ``csv.reader``
+    drops it with the ending.
     """
     if '"' in text:
         return None
-    header, _, _ = text.partition("\n")
-    if [cell.strip() for cell in header.split(",")] != ["x", "y"]:
+    start = text.find("\n") + 1 or len(text)
+    header = text[:start]
+    if [cell.strip() for cell in header.split(",")] != ["x", "y"] or _plain_rows(header) is None:
         return None
-    text = _plain_rows(text)
-    if text is None:
-        return None
-    cells = text.replace("\n", ",").split(",")
-    # the header's two cells, two per row, and an empty one after a final line feed
-    stop = len(cells) - len(cells) % 2
+    values = np.empty(2 * text.count("\n"))
+    filled = 0
+    while start < len(text):
+        stop = text.find("\n", start + _READ_BLOCK_CHARS - 1) + 1 or len(text)
+        block = _plain_rows(text[start:stop])
+        if block is None:
+            return None
+        cells = block.replace("\n", ",").split(",")
+        # two per row, and an empty one after a final line feed
+        count = len(cells) - len(cells) % 2
+        try:
+            parsed = np.fromiter(map(float, islice(cells, count)), dtype=float, count=count)
+        except ValueError:
+            return None
+        values[filled:filled + count] = parsed
+        filled += count
+        start = stop
     try:
-        values = np.fromiter(map(float, islice(cells, 2, stop)), dtype=float, count=stop - 2)
-        return Dataset.from_arrays(values[0::2], values[1::2])
+        return Dataset.from_arrays(values[0:filled:2], values[1:filled:2])
     except ValueError:
         return None
 
@@ -373,9 +400,10 @@ def _plain_rows(text: str) -> str | None:
     a comma, a line feed or a carriage return, with one line feed mask:
     every carriage return must be followed by a line feed, and every row
     holds one comma when commas and line feeds alternate, comma first,
-    and the bytes end with a line feed or in a row past its comma.  A
-    blank row breaks that alternation, so only then are the rows split,
-    rejoined without the blank ones and the result checked in turn.
+    and the bytes are empty, end with a line feed or end in a row past
+    its comma.  A blank row breaks that alternation, so only then are
+    the rows split, rejoined without the blank ones and the result
+    checked in turn.
     """
     raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     lf = raw == ord("\n")
@@ -388,7 +416,7 @@ def _plain_rows(text: str) -> str | None:
     mask |= lf
     seps = raw[mask]
     if ((seps[0::2] == ord(",")).all() and (seps[1::2] == ord("\n")).all()
-            and (len(seps) % 2 or lf[-1])):
+            and (len(seps) % 2 or lf[-1:].all())):
         return text
     # a line feed after every kept row, so no carriage return turns lone
     rows = "\n".join([row for row in text.split("\n") if row not in ("", "\r")] + [""])
@@ -435,9 +463,24 @@ def _csv_rows(text: str):
         raise DataFormatError(reader.line_num, str(exc)) from None
 
 
+# Rows per block that write_csv formats and writes at once.
+_WRITE_BLOCK_ROWS = 1 << 15
+
+
 def write_csv(path, data: Dataset) -> None:
     """Write a dataset as ``x,y`` CSV with CRLF line endings; float
-    formatting is shortest round-trip, so reruns are byte-identical."""
-    rows = [f"{a!r},{b!r}" for a, b in zip(data.x.tolist(), data.y.tolist())]
+    formatting is shortest round-trip, so reruns are byte-identical.
+
+    Rows are formatted and written ``_WRITE_BLOCK_ROWS`` at a time, each
+    as its line ending and then its values, between the header and a
+    final line ending; so the file is ``"x,y\\r\\n"``, then
+    ``"{x!r},{y!r}\\r\\n"`` per row, and beyond the dataset only one
+    block's values and text are held at a time.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(["x,y", *rows, ""]))
+        fh.write("x,y")
+        for i in range(0, data.n, _WRITE_BLOCK_ROWS):
+            rows = slice(i, i + _WRITE_BLOCK_ROWS)
+            fh.write("".join([f"\r\n{a!r},{b!r}"
+                              for a, b in zip(data.x[rows].tolist(), data.y[rows].tolist())]))
+        fh.write("\r\n")

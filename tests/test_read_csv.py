@@ -10,6 +10,13 @@ kept below as the oracle, except that it reports that reader's
 the physical line they end on (``reader.line_num``), as ``read_csv``
 does; the reader it copies numbered them by record, one too low after a
 quoted field holding a line break.
+
+The bulk parse walks the rows in blocks of ``model._READ_BLOCK_CHARS``
+characters; the tests below rerun the cases with that length set to a
+few characters, so that rows, blank rows and CRLF endings straddle the
+points where a block would end.  ``write_csv`` writes in blocks of rows,
+and must give the bytes of the one-string formatting it replaced, kept
+below as its oracle.
 """
 
 import csv
@@ -125,6 +132,8 @@ CASES = {
     "lone carriage return in a row": ("x,y\n1,2\r3,4\n", False),
     "carriage return before crlf": ("x,y\n1,2\r\r\n", False),
     "carriage return at the very end": ("x,y\n1,2\r", False),
+    "lone carriage return in the header": ("x\r,y\n1,2\n", False),
+    "header ending in a lone carriage return": ("x,y\r", False),
     "blank row before a lone carriage return": ("x,y\n\n1,2\r3,4\n", False),
     "blank row before three fields": ("x,y\n\n1,2,3\n", False),
     "blank row before an unended one-field row": ("x,y\n\n1,2\n3", False),
@@ -156,6 +165,17 @@ CASES = {
 def test_bulk_parse_matches_csv_reader(tmp_path, name):
     text, takes_bulk_path = CASES[name]
     assert check_file(tmp_path / "data.csv", text) is takes_bulk_path
+
+
+# block lengths, in characters, far below the default
+BLOCK_CHARS = [1, 2, 3, 7, 64]
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+def test_bulk_parse_matches_csv_reader_in_short_blocks(tmp_path, monkeypatch, block_chars):
+    monkeypatch.setattr(model, "_READ_BLOCK_CHARS", block_chars)
+    for name, (text, takes_bulk_path) in CASES.items():
+        assert check_file(tmp_path / "data.csv", text) is takes_bulk_path, name
 
 
 def test_written_files_take_the_bulk_path(tmp_path):
@@ -215,18 +235,62 @@ def test_bulk_parse_takes_plain_files(text):
     assert model._parse_plain(text) is not None
 
 
-@pytest.mark.parametrize("text,line_no", [
-    ('x,y\n"1\n",2\nbogus,3\n', 4),
-    ('x,y\r\n"1\r\n\r\n",2\r\n-1,3\r\n', 5),
-    ('x,y\n1,2\n"1\n",\n', 4),
-    ('x,y\n"1\n",2\n' + "1" * 200000 + ",0.5\n", 4),
-], ids=["non-numeric", "negative after crlf", "empty field", "field over the csv size limit"])
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(plain_texts, any_texts), block_chars=st.sampled_from(BLOCK_CHARS))
+def test_bulk_parse_matches_csv_reader_on_generated_files_in_short_blocks(
+        tmp_path, monkeypatch, text, block_chars):
+    monkeypatch.setattr(model, "_READ_BLOCK_CHARS", block_chars)
+    check_file(tmp_path / "data.csv", text)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=plain_texts, block_chars=st.sampled_from(BLOCK_CHARS))
+def test_bulk_parse_takes_plain_files_in_short_blocks(monkeypatch, text, block_chars):
+    monkeypatch.setattr(model, "_READ_BLOCK_CHARS", block_chars)
+    assert model._parse_plain(text) is not None
+
+
+ROW_NUMBER_CASES = [
+    pytest.param('x,y\n"1\n",2\nbogus,3\n', 4, id="non-numeric"),
+    pytest.param('x,y\r\n"1\r\n\r\n",2\r\n-1,3\r\n', 5, id="negative after crlf"),
+    pytest.param('x,y\n1,2\n"1\n",\n', 4, id="empty field"),
+    pytest.param('x,y\n"1\n",2\n' + "1" * 200000 + ",0.5\n", 4,
+                 id="field over the csv size limit"),
+]
+
+
+@pytest.mark.parametrize("text,line_no", ROW_NUMBER_CASES)
 def test_rows_are_numbered_by_physical_line(tmp_path, text, line_no):
     path = tmp_path / "data.csv"
     path.write_text(text, newline="")
     with pytest.raises(DataFormatError) as err:
         read_csv(path)
     assert err.value.line_no == line_no
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+@pytest.mark.parametrize("text,line_no", ROW_NUMBER_CASES)
+def test_rows_are_numbered_by_physical_line_in_short_blocks(
+        tmp_path, monkeypatch, text, line_no, block_chars):
+    monkeypatch.setattr(model, "_READ_BLOCK_CHARS", block_chars)
+    test_rows_are_numbered_by_physical_line(tmp_path, text, line_no)
+
+
+def oracle_csv_text(data: Dataset) -> str:
+    """The one-string formatting ``write_csv`` used before it wrote in
+    blocks, copied, not shared with the package."""
+    rows = [f"{a!r},{b!r}" for a, b in zip(data.x.tolist(), data.y.tolist())]
+    return "\r\n".join(["x,y", *rows, ""])
+
+
+@pytest.mark.parametrize("n", [0, 1, model._WRITE_BLOCK_ROWS, model._WRITE_BLOCK_ROWS + 1],
+                         ids=["no rows", "one row", "one block", "one block and one row"])
+def test_write_csv_gives_the_bytes_of_one_string_formatting(tmp_path, n):
+    data = model.sample(n, 0.3, 11) if n else Dataset.from_arrays([], [])
+    path = tmp_path / "data.csv"
+    model.write_csv(path, data)
+    assert path.read_bytes() == oracle_csv_text(data).encode("ascii")
 
 
 INF, NAN = float("inf"), float("nan")
