@@ -105,8 +105,11 @@ def profile(c: Sequence) -> MultiplicityProfile:
     """Group the shift values by equality; the scalar types pick the mode.
 
     All rational (Fraction or int) values are compared exactly, as
-    lowest-terms integer pairs, and each group is represented by the
-    Fraction of its pair; anything else (floats, or a mixture) is
+    lowest-terms integer pairs.  Each group is represented by the first
+    value given for it when that value's type is exactly ``Fraction``,
+    which is always in lowest terms, and otherwise (an int, a numpy
+    integer, a bool or a ``Fraction`` subclass) by the Fraction built
+    from its pair; anything else (floats, or a mixture) is
     compared approximately: floats whose gap is within
     ``1e-9 * max(1, |value|)`` are grouped, closed transitively so the
     result is a partition.  The float grouping sorts the values once,
@@ -124,9 +127,17 @@ def profile(c: Sequence) -> MultiplicityProfile:
     values = c if isinstance(c, np.ndarray) and c.ndim == 1 else list(c)
     if polynomials.scalar_kind(values) == polynomials.RATIONAL:
         # (d, n) pairs of ints hash at C speed, where Fractions do not
-        counts = Counter(polynomials._exact_shifts(values))
+        pairs = polynomials._exact_shifts(values)
+        counts = Counter(pairs)
         mults = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-        return MultiplicityProfile([Fraction(n, d) for d, n in counts], mults, "exact")
+        # the first value given for each pair, as a dict built backwards
+        # keeps the last value it meets for a key
+        first = dict(zip(pairs[::-1], values[::-1]))
+        # a Fraction is in lowest terms already; any other value gives way
+        # to the Fraction of its pair
+        reps = [v if type(v) is Fraction else Fraction(n, d)
+                for (d, n), v in zip(counts, map(first.__getitem__, counts))]
+        return MultiplicityProfile(reps, mults, "exact")
     fl = polynomials._float_shifts(values)
     # the sort need not be stable, as a group's representative is its
     # smallest index wherever ties land

@@ -24,8 +24,9 @@ The exact operations work on integers from start to finish.  A rational
 polynomial is held as a primitive integer vector times a rational scale,
 and the Fraction coefficients are built only when a caller reads them.
 :func:`build_k` multiplies the integer factors (d_i theta + n_i) of the
-shifts n_i/d_i; each factor is primitive, so by Gauss's lemma so is the
-product, and h = k' is its integer derivative divided by its content.
+shifts n_i/d_i, two to a pass as one quadratic; each factor is
+primitive, so by Gauss's lemma so is the product, and h = k' is its
+integer derivative divided by its content.
 :func:`gcd` takes the gcd of two such vectors modulo a fixed sequence of
 primes below 2**30 (Brown's multi-prime algorithm), so that a residue is
 one digit of a CPython integer and a product of two stays below 2**60,
@@ -34,7 +35,8 @@ reconstruction.  The result is exact, not probable: a prime that divides
 neither leading coefficient gives an image whose degree bounds the
 degree of the true gcd from above, and a candidate of that degree is
 returned only after it divides both inputs exactly over the integers,
-which makes it a common divisor of the largest possible degree.
+checked by a long division whose every step is one dot product, which
+makes it a common divisor of the largest possible degree.
 :func:`root_multiplicity` deflates the integer vector by synthetic
 division.
 """
@@ -44,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -280,13 +283,17 @@ def build_k(c: Sequence) -> Poly:
     """Expand the monic product of the linear factors (theta + c_i).
 
     Coefficients are the elementary symmetric functions of the shifts,
-    accumulated by repeated multiplication with one linear factor, so the
-    result is invariant under permutation of ``c``.  Each factor is
+    accumulated by repeated multiplication with the linear factors, so
+    the result is invariant under permutation of ``c``.  Each factor is
     taken as a pair (a_i theta + b_i): a rational shift n_i/d_i as the
     integer factor (d_i theta + n_i), a float shift as (1.0 theta + c_i),
-    whose products by 1.0 are exact.  The integer factors are primitive,
-    and so, by Gauss's lemma, is their product; the monic k is that
-    product over the product of the d_i, its leading coefficient.
+    whose products by 1.0 are exact.  The integer product takes two
+    factors per pass, multiplied out as one quadratic, after the first
+    factor alone when n is odd; the float product takes one factor per
+    pass, which fixes the order of its roundings.  The integer factors
+    are primitive, and so, by Gauss's lemma, is their product; the monic
+    k is that product over the product of the d_i, its leading
+    coefficient.
 
     Raises ScalarModeError for a mixture of the two kinds, and
     ValueError with one message per condition: ``need at least one
@@ -297,14 +304,25 @@ def build_k(c: Sequence) -> Poly:
     checks, so it raises the same messages.
     """
     pairs, kind = _linear_factors(c)
-    coeffs = [1] if kind == RATIONAL else [1.0]
-    for a, b in pairs:
-        # multiply by (a theta + b): new[j] = a*old[j-1] + b*old[j]
-        coeffs = [b * coeffs[0],
-                  *[a * lo + b * hi for lo, hi in zip(coeffs, coeffs[1:])],
-                  a * coeffs[-1]]
     if kind == FLOAT:
+        coeffs = [1.0]
+        for a, b in pairs:
+            # multiply by (a theta + b): new[j] = a*old[j-1] + b*old[j]
+            coeffs = [b * coeffs[0],
+                      *[a * lo + b * hi for lo, hi in zip(coeffs, coeffs[1:])],
+                      a * coeffs[-1]]
         return Poly(coeffs, FLOAT)
+    # the odd factor out first, then two factors per pass: multiply by
+    # (a1 theta + b1)(a2 theta + b2) = A theta^2 + B theta + C, so
+    # new[j] = A*old[j-2] + B*old[j-1] + C*old[j]
+    odd = len(pairs) % 2
+    coeffs = [pairs[0][1], pairs[0][0]] if odd else [1]
+    for (a1, b1), (a2, b2) in zip(pairs[odd::2], pairs[odd + 1::2]):
+        qa, qb, qc = a1 * a2, a1 * b2 + a2 * b1, b1 * b2
+        coeffs = [qc * coeffs[0],
+                  *[qa * x + qb * y + qc * z
+                    for x, y, z in zip([0, *coeffs], coeffs, [*coeffs[1:], 0])],
+                  qa * coeffs[-1]]
     return _rational(coeffs, Fraction(1, coeffs[-1]))
 
 
@@ -442,16 +460,25 @@ def _lift(residues: list[int], m: int, pairs: list[tuple[int, int]]) -> list[int
 
 def _divides(g: list[int], a: list[int]) -> bool:
     """Whether ``g`` divides ``a`` exactly over the integers; descending
-    coefficients."""
-    a = list(a)
-    lead, tail = g[0], g[1:]
-    for i in range(len(a) - len(tail)):
-        q, r = divmod(a[i], lead)
+    coefficients, ``a`` no shorter than ``g``.
+
+    Each quotient coefficient is (a_i - sum_{j >= 1} g_j q_{i-j}) / g_0,
+    one dot product of the divisor's tail with the last deg g quotient
+    coefficients, and must be an integer; each of the deg g remainder
+    rows a_i - sum_j g_j q_{i-j} must be 0."""
+    lead, dg = g[0], len(g) - 1
+    tail = g[:0:-1]  # g_dg, ..., g_1, against q_{i-dg}, ..., q_{i-1}
+    q = [0] * dg  # zeros stand for the q_{i-j} with i < j
+    for x in a[:len(a) - dg]:
+        d, r = divmod(x - sum(map(mul, tail, q[len(q) - dg:])), lead)
         if r:
             return False
-        if q:
-            a[i + 1:i + len(g)] = [x - q * y for x, y in zip(a[i + 1:i + len(g)], tail)]
-    return not any(a[len(a) - len(tail):])
+        q.append(d)
+    # remainder row r has the terms j = r+1, ..., dg: map stops at the
+    # shorter window
+    n = len(q)
+    return all(x == sum(map(mul, tail, q[n - dg + r:]))
+               for r, x in enumerate(a[len(a) - dg:]))
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
@@ -486,16 +513,15 @@ def gcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero or b.is_zero:
         return (b if a.is_zero else a).monic()
     big, small = sorted((a._vector[::-1], b._vector[::-1]), key=len, reverse=True)
-    one = _rational([1], Fraction(1))
     if len(small) == 1:
-        return one
+        return _rational([1], Fraction(1))
     size = None  # length of the lowest-degree images so far
     for p in _primes():
         if big[0] % p == 0 or small[0] % p == 0:
             continue
         image = _gcd_mod([x % p for x in big], [x % p for x in small], p)
         if len(image) == 1:
-            return one
+            return _rational([1], Fraction(1))
         if size is not None and len(image) > size:
             continue
         if size is None or len(image) < size:

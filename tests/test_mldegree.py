@@ -45,18 +45,22 @@ def repeated_multisets(draw, max_n=12):
     return list(perm)
 
 
+class FractionSubclass(Fraction):
+    pass
+
+
 @st.composite
 def exact_shifts(draw):
     """Nonzero exact shift values with repeats, each occurrence drawn as
-    a Fraction or, where its value allows, an int, an np.int64 or True;
-    some numerators have about 200 bits."""
+    a Fraction, a Fraction subclass or, where its value allows, an int,
+    an np.int64 or True; some numerators have about 200 bits."""
     small_ints = st.integers(min_value=-20, max_value=20).filter(bool).map(F)
     big_ints = st.integers(min_value=2**199, max_value=2**200).map(F)
     pool = draw(st.lists(st.one_of(rationals, small_ints, big_rationals, big_ints),
                          min_size=1, max_size=6))
     c = []
     for v in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20)):
-        forms = [v]
+        forms = [v, F(v.numerator, v.denominator), FractionSubclass(v)]
         if v.denominator == 1:
             forms.append(v.numerator)
             if abs(v.numerator) < 2**63:
@@ -133,6 +137,12 @@ class TestProfile:
         assert prof.values == list(want)
         assert prof.mults.tolist() == list(want.values())
         assert all(type(v) is F and type(v.numerator) is int for v in prof.values)
+        # a group whose first value is a Fraction is represented by it
+        first = {}
+        for v in c:
+            first.setdefault(F(v), v)
+        for rep, v in zip(prof.values, first.values()):
+            assert rep is v or type(v) is not F
 
     @pytest.mark.parametrize("c,message", [
         ([], "need at least one shift value"),

@@ -91,6 +91,40 @@ def common_and_cofactors(draw):
     return tuple(multiply(common, draw(small_polys)) for _ in range(2))
 
 
+def splice_divides(g, a):
+    """The exact-division check ``gcd`` used before its dot-product
+    form: long division that splices q times the divisor's tail into the
+    dividend, row by row; descending coefficients."""
+    a = list(a)
+    lead, tail = g[0], g[1:]
+    for i in range(len(a) - len(tail)):
+        q, r = divmod(a[i], lead)
+        if r:
+            return False
+        if q:
+            a[i + 1:i + len(g)] = [x - q * y for x, y in zip(a[i + 1:i + len(g)], tail)]
+    return not any(a[len(a) - len(tail):])
+
+
+@st.composite
+def divisions(draw):
+    """An integer divisor g of degree 0 to 6, leading coefficient +-1 to
+    +-3, and the product a of g and a random quotient, with one
+    coefficient of a nudged by +-1 in about half the draws; descending
+    coefficients, some of about 200 bits."""
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-2**200, 2**200))
+    g = [draw(st.sampled_from((1, -1, 2, -2, 3, -3)))]
+    g += draw(st.lists(coeff, max_size=6))
+    q = [draw(coeff.filter(bool))] + draw(st.lists(coeff, max_size=8))
+    a = [0] * (len(g) + len(q) - 1)
+    for i, x in enumerate(g):
+        for j, y in enumerate(q):
+            a[i + j] += x * y
+    if draw(st.booleans()):
+        a[draw(st.integers(0, len(a) - 1))] += draw(st.sampled_from((1, -1)))
+    return g, a
+
+
 class TestPoly:
     def test_normalization_strips_trailing_zeros(self):
         p = Poly((F(1), F(2), F(0), F(0)))
@@ -341,6 +375,20 @@ class TestGcd:
         # remainder tells theta + 1 from a divisor of theta^2 + 1
         assert not polynomials._divides([1, 1], [1, 0, 1])
         assert polynomials._divides([1, 1], [1, 0, -1])
+
+    def test_exact_division_check_matches_the_splice_algorithm(self):
+        verdicts = set()
+
+        @given(divisions())
+        @settings(max_examples=400, deadline=None)
+        def check(case):
+            g, a = case
+            verdict = polynomials._divides(g, a)
+            assert verdict == splice_divides(g, a)
+            verdicts.add(verdict)
+
+        check()
+        assert verdicts == {True, False}
 
     def test_gcd_with_zero_is_the_monic_other(self):
         p = Poly((F(4), F(2)))
