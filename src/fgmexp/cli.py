@@ -165,11 +165,14 @@ def run_campaign(
     all-equal shape is recorded as skipped, since no ML-degree is defined
     there.  Failure records carry the full shift list for reproduction
     and are sorted before emission.
+
+    ``trials`` and ``n_max`` are integers (an int, a bool or a numpy
+    integer), ``trials >= 1`` and ``n_max >= 2``, checked by the one
+    integer check of :mod:`~fgmexp.model`; anything else is a
+    ValueError.  ``seed`` seeds ``random.Random``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+    trials = model._integer(trials, 1, "trials")
+    n_max = model._integer(n_max, 2, "n_max")
     rng = random.Random(seed)
     campaign = VerificationCampaign(trials, (2, n_max), patterns, seed)
     for trial in range(trials):
@@ -247,10 +250,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_mldegree(args) -> int:
-    if args.c is not None:
-        values = args.c
-        mode = "exact"
-    else:
+    values = args.c
+    if values is None:
         if (data := _load(args.in_path)) is None:
             return 2
         shift = model.c_shift(data)
@@ -259,13 +260,12 @@ def cmd_mldegree(args) -> int:
             print("error: no usable observations (all weights are zero)", file=sys.stderr)
             return 3
         values = shift.values
-        mode = "approx"
     try:
         doc = mldegree.ml_degree_report(values)
     except mldegree.AllEqualError as exc:
         _emit(
             {
-                "mode": mode,
+                "mode": "exact" if args.c is not None else "approx",
                 "n": exc.n,
                 "all_equal": True,
                 "boundary_mle": exc.boundary_mle,
@@ -274,7 +274,7 @@ def cmd_mldegree(args) -> int:
             args.pretty,
         )
         return 0
-    if mode == "approx":
+    if args.c is None:
         doc["dropped"] = len(shift.degenerate_indices)
     _emit(doc, args.pretty)
     return 0
@@ -289,26 +289,17 @@ def cmd_verify(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _int_at_least(low: int):
-    """Argument type: an integer >= ``low``."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-
-    return parse
+def _int_at_least(low: int, name: str):
+    """Argument type: an integer no less than ``low``, by the model's one
+    integer check."""
+    return _value_arg(lambda text: model._integer(int(text), low, name))
 
 
 def _pattern_arg(text: str):
     """Argument type: ``"n"`` (all equal), or a tuple of multiplicities >= 2."""
     if text.strip() == "n":
         return "n"
-    return tuple(map(_int_at_least(2), text.split(",")))
+    return tuple(map(_int_at_least(2, "multiplicity"), text.split(",")))
 
 
 def _value_arg(parse):
@@ -342,10 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", parents=[common], help="write a simulated CSV dataset")
-    p.add_argument("--n", type=_int_at_least(1), required=True, help="sample size")
-    p.add_argument("--theta", type=_value_arg(model.validate_theta), required=True,
-                   help="association in [-1, 1]")
-    p.add_argument("--seed", type=_int_at_least(0), required=True)
+    p.add_argument("--n", type=_int_at_least(1, "sample size"), required=True,
+                   help="sample size")
+    p.add_argument("--theta", type=_value_arg(lambda text: model.validate_theta(float(text))),
+                   required=True, help="association in [-1, 1]")
+    p.add_argument("--seed", type=_int_at_least(0, "seed"), required=True)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_sample)
 
@@ -363,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mldegree, c=None, in_path=None)
 
     p = sub.add_parser("verify", parents=[common], help="randomized cross-check campaign")
-    p.add_argument("--trials", type=_int_at_least(1), default=500)
-    p.add_argument("--n-max", dest="n_max", type=_int_at_least(2), default=10)
+    p.add_argument("--trials", type=_int_at_least(1, "trials"), default=500)
+    p.add_argument("--n-max", dest="n_max", type=_int_at_least(2, "n_max"), default=10)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(
         "--pattern",

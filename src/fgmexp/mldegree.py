@@ -102,14 +102,22 @@ class MultiplicityProfile:
 
 
 def profile(c: Sequence) -> MultiplicityProfile:
-    """Group the shift values by equality; the scalar types pick the mode.
+    """Group the shift values by equality; their kind picks the mode.
 
-    All rational (Fraction or int) values are compared exactly, as
-    lowest-terms integer pairs.  Each group is represented by the first
-    value given for it when that value's type is exactly ``Fraction``,
-    which is always in lowest terms, and otherwise (an int, a numpy
-    integer, a bool or a ``Fraction`` subclass) by the Fraction built
-    from its pair; anything else (floats, or a mixture) is
+    The values are read by the normalizer that :func:`~fgmexp.polynomials.build_k`
+    uses, so ``profile`` accepts what ``build_k`` accepts and raises what
+    it raises: ScalarModeError for values that are not all rational or
+    all float (a mixture, a string, None, a complex value) or not one
+    sequence (a 0-d or 2-D array), and ValueError ``need at least one
+    shift value`` for no values, ``shift values must be nonzero`` for a
+    zero rational value, and ``shift values must be finite and nonzero``
+    for a float value that is zero, infinite or NaN.
+
+    Rational values (Fractions, ints, bools, numpy integers and bools)
+    are compared exactly, as lowest-terms integer pairs.  Each group is
+    represented by the first value given for it when that value's type
+    is exactly ``Fraction``, which is always in lowest terms, and
+    otherwise by the Fraction built from its pair.  Float values are
     compared approximately: floats whose gap is within
     ``1e-9 * max(1, |value|)`` are grouped, closed transitively so the
     result is a partition.  The float grouping sorts the values once,
@@ -117,28 +125,21 @@ def profile(c: Sequence) -> MultiplicityProfile:
     and frees it with the sorted copy before the representatives are
     listed; it orders the groups by scattering each size to its group's
     first index, not by a second sort.
-
-    The values pass the check :func:`~fgmexp.polynomials.build_k` makes,
-    with its one message per condition: ValueError ``need at least one
-    shift value`` for no values, ``shift values must be nonzero`` for a
-    zero rational value, and ``shift values must be finite and nonzero``
-    for a float value that is zero, infinite or NaN.
     """
-    values = c if isinstance(c, np.ndarray) and c.ndim == 1 else list(c)
-    if polynomials.scalar_kind(values) == polynomials.RATIONAL:
+    kind, shifts, values = polynomials._linear_factors(c)
+    if kind == polynomials.RATIONAL:
         # (d, n) pairs of ints hash at C speed, where Fractions do not
-        pairs = polynomials._exact_shifts(values)
-        counts = Counter(pairs)
+        counts = Counter(shifts)
         mults = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
         # the first value given for each pair, as a dict built backwards
         # keeps the last value it meets for a key
-        first = dict(zip(pairs[::-1], values[::-1]))
+        first = dict(zip(shifts[::-1], values[::-1]))
         # a Fraction is in lowest terms already; any other value gives way
         # to the Fraction of its pair
         reps = [v if type(v) is Fraction else Fraction(n, d)
                 for (d, n), v in zip(counts, map(first.__getitem__, counts))]
         return MultiplicityProfile(reps, mults, "exact")
-    fl = polynomials._float_shifts(values)
+    fl = shifts
     # the sort need not be stable, as a group's representative is its
     # smallest index wherever ties land
     order = np.argsort(fl)
@@ -191,12 +192,12 @@ def ml_degree_algebraic(c: Sequence) -> int:
     """Independent algebraic route: deg h - deg gcd(h, k) over exact rationals.
 
     Must agree with :func:`ml_degree_formula` on every input; the pair of
-    routes is the correctness oracle for both.  Raises ScalarModeError
-    for a value that is not rational; otherwise the errors of the exact
-    :func:`profile` and :func:`ml_degree_formula`, with their messages:
-    ValueError for no values or a zero value, from the one exact check
-    in :mod:`~fgmexp.polynomials`, and :class:`AllEqualError` when every
-    value is equal.
+    routes is the correctness oracle for both.  The values are read as
+    :func:`profile` reads them, with its errors and messages:
+    ScalarModeError for values of no kind, ValueError for no values or a
+    zero value; and :class:`AllEqualError` when every value is equal.
+    Float values, which :func:`profile` groups approximately, have no
+    exact count: ScalarModeError.
 
     The all-equal case is read off the count itself: for n >= 2 the
     count is 0 exactly when every value is equal.  A count of 0 means
@@ -206,21 +207,21 @@ def ml_degree_algebraic(c: Sequence) -> int:
     for every i.  Conversely n equal values give h = n (theta + a)^(n-1),
     which divides k.
     """
-    return _algebraic_count_and_h(list(c))[0]
-
-
-def _algebraic_count_and_h(values: list) -> tuple[int, polynomials.Poly]:
-    """:func:`ml_degree_algebraic`'s count together with the h = k' it
-    built, for callers that also need h."""
-    # build_k checks every value and rejects a mixture of kinds, so the
-    # kind of the first value is the kind of all
-    if values and not isinstance(values[0], (Fraction, int, np.integer)):
+    values, kind = polynomials._shift_values(c)
+    if kind != polynomials.RATIONAL:
         raise ScalarModeError("exact mode requires rational (Fraction/int) values")
-    k = polynomials.build_k(values)  # rejects no values, zero values and mixtures
+    return _algebraic_count_and_h(values)[0]
+
+
+def _algebraic_count_and_h(values: Sequence) -> tuple[int, polynomials.Poly]:
+    """:func:`ml_degree_algebraic`'s count together with the h = k' it
+    built, for callers that also need h and whose values are rational."""
+    k = polynomials.build_k(values)  # rejects no values and zero values
     h = k.derivative()
     count = int(h.degree - polynomials.gcd(h, k).degree)
     if count == 0 and len(values) >= 2:
-        raise AllEqualError(Fraction(values[0]), len(values))
+        # k = (theta + a)^n, whose theta^(n-1) coefficient is n a
+        raise AllEqualError(k.coeffs[-2] / len(values), len(values))
     return count, h
 
 
@@ -231,11 +232,11 @@ def _serialize_value(v):
 def ml_degree_report(c: Sequence) -> dict:
     """JSON-ready ML-degree report for a list of shift values.
 
-    The scalar types pick the mode, as in :func:`profile`.  Exact mode
-    carries the algebraic cross-check; approximate mode carries a
-    caveat, because grouping float values is tolerance dependent and
-    generic continuous data has no repeats at all.
-    Raises :class:`AllEqualError` for the excluded all-equal case.
+    The values' kind picks the mode, and bad values raise, as in
+    :func:`profile`.  Exact mode carries the algebraic cross-check;
+    approximate mode carries a caveat, because grouping float values is
+    tolerance dependent and generic continuous data has no repeats at
+    all.  Raises :class:`AllEqualError` for the excluded all-equal case.
     """
     if not isinstance(c, np.ndarray):
         c = list(c)  # read once: both routes below consume it

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import roots
-from .model import Dataset, log_likelihood_weights
+from .model import Dataset, _weight_array, log_likelihood_weights
 
 __all__ = ["FitResult", "NoDataError", "fit", "fit_from_weights"]
 
@@ -62,11 +62,14 @@ class FitResult:
 def fit_from_weights(weights: Sequence[float]) -> FitResult:
     """Fit from a weight vector; see :func:`fit` for the contract.
 
-    Raises ValueError for a weight that is not finite or lies outside
-    [-1, 1], where the model's likelihood is not defined; the root
-    search, which runs on every vector with a nonzero weight, checks it.
+    The weights are converted as every weight entry point converts them
+    (see :func:`~fgmexp.model.log_likelihood_weights`): ValueError unless
+    they are one-dimensional, of a bool, integer or float dtype.  Raises
+    ValueError for a weight that is not finite or lies outside [-1, 1],
+    where the model's likelihood is not defined; the root search, which
+    runs on every vector with a nonzero weight, checks it.
     """
-    w_all = np.asarray(weights, dtype=float)
+    w_all = _weight_array(weights)
     eff = w_all if np.logical_and.reduce(w_all) else w_all[w_all != 0.0]
     dropped = int(w_all.size - eff.size)
     n_eff = int(eff.size)

@@ -18,6 +18,7 @@ import io
 import locale
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple, Sequence
 
@@ -71,17 +72,48 @@ class DataFormatError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-def validate_theta(theta: float) -> float:
-    t = float(theta)
-    if not math.isfinite(t) or not (THETA_MIN <= t <= THETA_MAX):
-        raise ValueError(f"association parameter must lie in [-1, 1], got {theta!r}")
-    return t
+def validate_theta(theta) -> float:
+    """``theta`` as a float; ValueError unless it is a real number (a
+    float, an int, a bool, a Fraction, or a numpy float or integer) in
+    [-1, 1].  A string is not a real number and is rejected, not parsed;
+    the CLI turns its text into a float first."""
+    # concrete types, which isinstance tests faster than numbers.Real; the
+    # comparison is made as given, so it is exact for an int or a Fraction
+    if not (isinstance(theta, (float, int, np.floating, np.integer, Fraction))
+            and THETA_MIN <= theta <= THETA_MAX):
+        raise ValueError(f"association parameter must be a real number in [-1, 1], got {theta!r}")
+    return float(theta)
+
+
+def _integer(value, low: int, name: str) -> int:
+    """``value`` as an int, the one check of every size and seed:
+    ValueError unless it is an integer (an int, a bool or a numpy
+    integer) no less than ``low``."""
+    if not (isinstance(value, (int, np.integer)) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _weight_array(weights) -> np.ndarray:
+    """The weights as a float64 array, the one conversion every weight
+    entry point makes; ValueError unless they are one-dimensional and of
+    a bool, integer or float dtype (a string, None or a complex value is
+    none of these)."""
+    try:
+        w = np.asarray(weights)
+    except ValueError:  # ragged
+        w = None
+    if w is None or w.ndim != 1 or w.dtype.kind not in "biuf":
+        raise ValueError("weights must be one-dimensional bools, integers or floats")
+    return w.astype(float, copy=False)
 
 
 def validate_weights(weights) -> np.ndarray:
-    """Weights as a float64 array; ValueError unless every weight is
-    finite and lies in [-1, 1], the range the model gives them."""
-    w = np.asarray(weights, dtype=float)
+    """Weights as a float64 array; ValueError unless they are
+    one-dimensional real numbers (see :func:`log_likelihood_weights`)
+    and every weight is finite and lies in [-1, 1], the range the model
+    gives them."""
+    w = _weight_array(weights)
     # a NaN makes the maximum NaN, which fails the comparison
     if not np.maximum.reduce(np.abs(w), initial=0.0) <= 1.0:
         raise ValueError("weights must be finite and lie in [-1, 1]")
@@ -191,7 +223,8 @@ def density(x: float, y: float, theta: float) -> float:
 
     Nonnegative for every valid input because |theta|*|w| <= 1.  Raises
     ValueError for a point that is negative or not finite, as
-    :meth:`Dataset.from_arrays` does, and for theta outside [-1, 1].
+    :meth:`Dataset.from_arrays` does, and for a theta that
+    :func:`validate_theta` rejects.
     """
     x, y = float(x), float(y)
     _check_point(x, y)
@@ -201,9 +234,15 @@ def density(x: float, y: float, theta: float) -> float:
 
 def log_likelihood_weights(weights: np.ndarray, theta: float) -> float:
     """Constant-free log-likelihood from a weight vector; -inf where any
-    term is <= 0."""
+    term is <= 0.
+
+    The weights are a one-dimensional sequence or ndarray of bools,
+    integers or floats, converted to float64, as every weight entry point
+    takes them; ValueError for any other shape or dtype, such as a 2-D
+    array or strings, and for a theta that :func:`validate_theta`
+    rejects."""
     t = validate_theta(theta)
-    terms = 1.0 + t * np.asarray(weights, dtype=float)
+    terms = 1.0 + t * _weight_array(weights)
     # a NaN makes the minimum NaN, which fails the comparison
     if np.minimum.reduce(terms, initial=math.inf) <= 0.0:
         return float("-inf")
@@ -227,9 +266,10 @@ def log_likelihood(data: Dataset, theta: float, include_constant: bool = False) 
 
 
 def score_weights(weights: np.ndarray, theta: float) -> float:
-    """Score from a weight vector: sum of w_i / (1 + theta*w_i)."""
+    """Score from a weight vector: sum of w_i / (1 + theta*w_i).  The
+    weights and theta are checked as in :func:`log_likelihood_weights`."""
     t = validate_theta(theta)
-    w = np.asarray(weights, dtype=float)
+    w = _weight_array(weights)
     denom = 1.0 + t * w
     bad = np.flatnonzero(denom == 0.0)
     if bad.size:
@@ -278,10 +318,14 @@ def sample(n: int, theta: float, seed: int) -> Dataset:
     then the n values of t are one draw of 2n open uniforms.  Marginals
     are standard exponential and results depend only on (n, theta,
     seed).
+
+    ``n`` and ``seed`` are integers (an int, a bool or a numpy integer),
+    ``n >= 1`` and ``seed >= 0``, and ``theta`` a real number in [-1, 1];
+    anything else is a ValueError.
     """
     t = validate_theta(theta)
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    n = _integer(n, 1, "sample size")
+    seed = _integer(seed, 0, "seed")
     # the stream of default_rng(seed): the n values of u, then of t
     draws = _open_uniform(np.random.Generator(np.random.PCG64(seed)), 2 * n)
     u, tdraw = draws[:n], draws[n:]

@@ -15,10 +15,14 @@ Two scalar kinds are supported and never mixed silently:
 * ``"float"`` -- double precision; used for measured data, where only
   evaluation and numerical root finding are meaningful.
 
-The shift values c_i are checked here, by one check per kind, for
-:func:`build_k`, :func:`fgmexp.mldegree.profile` and the CLI alike:
-there must be at least one, an exact value must be nonzero, and a float
-value finite and nonzero.
+The shift values c_i are read and checked here, for :func:`build_k`,
+:func:`fgmexp.mldegree.profile`, :func:`fgmexp.mldegree.ml_degree_algebraic`
+and the CLI alike.  Their kind is decided once, by :func:`scalar_kind`:
+a one-dimensional sequence whose values are all rational or all float;
+anything else, a mixture, a string, None, a complex value or a 2-D
+array among them, is :class:`ScalarModeError`.  Then one check per kind:
+there must be at least one value, an exact value must be nonzero, and a
+float value finite and nonzero.
 
 The exact operations work on integers from start to finish.  A rational
 polynomial is held as a primitive integer vector times a rational scale,
@@ -69,7 +73,10 @@ FLOAT = "float"
 
 Scalar = Union[Fraction, float]
 
-_NO_SHIFTS = "need at least one shift value"
+# The types of an exact scalar, a shift value or a point at which a
+# rational polynomial is evaluated.  A bool is an int, and numpy's bool
+# counts as one too, so a list of bools and a bool array agree.
+_RATIONAL_TYPES = (Fraction, int, np.integer, np.bool_)
 
 
 class ScalarModeError(TypeError):
@@ -85,14 +92,18 @@ def _coerce(values: Iterable, kind: str) -> list:
 
 def scalar_kind(values: Sequence) -> str | None:
     """Scalar kind of a sequence: :data:`RATIONAL` when every value is a
-    Fraction or an integer, :data:`FLOAT` when every value is a float,
-    None for a mixture.  A one-dimensional ndarray of integers or floats
-    is decided by its dtype."""
-    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "fiu":
+    Fraction, an int, a bool or a numpy integer or bool, :data:`FLOAT`
+    when every value is a float or a numpy float, None otherwise (a
+    mixture, or a value of neither kind).  An ndarray of one dimension
+    and a bool, integer or float dtype is decided by its dtype; one of
+    another dimension has no kind."""
+    if isinstance(values, np.ndarray) and values.ndim != 1:
+        return None
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
         return FLOAT if values.dtype.kind == "f" else RATIONAL
     # one pass at C speed; the Python test runs once per distinct type
     types = set(map(type, values))
-    if all(issubclass(t, (Fraction, int, np.integer)) for t in types):
+    if all(issubclass(t, _RATIONAL_TYPES) for t in types):
         return RATIONAL
     if all(issubclass(t, (float, np.floating)) for t in types):
         return FLOAT
@@ -173,7 +184,7 @@ class Poly:
         points (reals widen to complex).
         """
         if self.kind == RATIONAL:
-            if not isinstance(t, (Fraction, int, np.integer)):
+            if not isinstance(t, _RATIONAL_TYPES):
                 raise ScalarModeError("rational polynomial evaluated at non-rational point")
             acc = Fraction(0)
             for x in reversed(self._vector):
@@ -235,48 +246,54 @@ def _rational(ints: list[int], scale: Fraction) -> Poly:
     return p
 
 
+def _shift_values(c) -> tuple[list | np.ndarray, str]:
+    """The shift values read once, as a list or as the ndarray given, and
+    their kind: the one place that decides the kind.  ScalarModeError
+    when :func:`scalar_kind` gives none."""
+    values = c if isinstance(c, (list, np.ndarray)) else list(c)
+    kind = scalar_kind(values)
+    if kind is None:
+        raise ScalarModeError("shift values must be one-dimensional, all rational or all float")
+    return values, kind
+
+
 def _exact_shifts(values: Sequence) -> list[tuple[int, int]]:
-    """The rational shift values n/d in lowest terms as (d, n) integer
-    pairs, in order.  ValueError for no values or a zero value; these
-    are the only messages the exact shift-value rule gives."""
-    # int() turns numpy integers into Python ones, which do not wrap
+    """The rational shift values n/d in lowest terms as (d, n) pairs of
+    Python ints, in order.  ValueError for a zero value; this is the only
+    message the exact check gives."""
+    # int() turns numpy integers and bools into Python ints
     pairs = [(v.denominator, v.numerator) if isinstance(v, Fraction) else (1, int(v))
              for v in values]
-    if not pairs:
-        raise ValueError(_NO_SHIFTS)
-    if not all(n for _, n in pairs):
-        raise ValueError("shift values must be nonzero")
+    # one pass for both tests; a Fraction built from numpy integers keeps
+    # them as its parts, which would wrap in the exact arithmetic
+    if not all(n and type(d) is int is type(n) for d, n in pairs):
+        pairs = [(int(d), int(n)) for d, n in pairs]
+        if not all(n for _, n in pairs):
+            raise ValueError("shift values must be nonzero")
     return pairs
 
 
 def _float_shifts(values: Sequence) -> np.ndarray:
-    """The shift values as a float64 array, each value converted by
-    float() unless ``values`` is an ndarray.  ValueError for no values
-    or a value that is zero or not finite; these are the only messages
-    the float shift-value rule gives."""
-    fl = np.asarray(values if isinstance(values, np.ndarray) else [float(v) for v in values],
-                    dtype=float)
-    if not fl.size:
-        raise ValueError(_NO_SHIFTS)
+    """The float shift values as a float64 array.  ValueError for a value
+    that is zero or not finite; this is the only message the float check
+    gives."""
+    fl = np.asarray(values, dtype=float)
     if not (np.isfinite(fl) & (fl != 0.0)).all():
         raise ValueError("shift values must be finite and nonzero")
     return fl
 
 
-def _linear_factors(c: Sequence) -> tuple[list, str]:
-    """The checked shift values as factors (a theta + b), as (a, b) pairs,
-    and their kind: (d, n) for a rational value n/d in lowest terms,
-    (1.0, c) for a float value c."""
-    values = list(c)
-    kind = scalar_kind(values)
-    if kind is None:
-        raise ScalarModeError(
-            "mixed scalar kinds: values must be all rational (Fraction/int) "
-            "or all float"
-        )
-    if kind == RATIONAL:
-        return _exact_shifts(values), kind
-    return [(1.0, v) for v in _float_shifts(values).tolist()], kind
+def _linear_factors(c) -> tuple[str, list | np.ndarray, list | np.ndarray]:
+    """The shift-value rule's one normalizer: the kind of ``c``, its
+    checked values, and the values as read.  The checked values are the
+    (d, n) pairs of the rational values n/d, each the factor
+    (d theta + n), or the float64 array of the float values c, each the
+    factor (theta + c).  ValueError ``need at least one shift value`` for
+    no values, then the kind's own check."""
+    values, kind = _shift_values(c)
+    if not len(values):
+        raise ValueError("need at least one shift value")
+    return kind, (_exact_shifts if kind == RATIONAL else _float_shifts)(values), values
 
 
 def build_k(c: Sequence) -> Poly:
@@ -286,38 +303,42 @@ def build_k(c: Sequence) -> Poly:
     accumulated by repeated multiplication with the linear factors, so
     the result is invariant under permutation of ``c``.  Each factor is
     taken as a pair (a_i theta + b_i): a rational shift n_i/d_i as the
-    integer factor (d_i theta + n_i), a float shift as (1.0 theta + c_i),
-    whose products by 1.0 are exact.  The integer product takes two
-    factors per pass, multiplied out as one quadratic, after the first
-    factor alone when n is odd; the float product takes one factor per
-    pass, which fixes the order of its roundings.  The integer factors
-    are primitive, and so, by Gauss's lemma, is their product; the monic
-    k is that product over the product of the d_i, its leading
-    coefficient.
+    integer factor (d_i theta + n_i), a float shift as (theta + c_i).
+    The integer product takes two factors per pass, multiplied out as one
+    quadratic, after the first factor alone when n is odd; the float
+    product takes one factor per pass, which fixes the order of its
+    roundings.  The integer factors are primitive, and so, by Gauss's
+    lemma, is their product; the monic k is that product over the
+    product of the d_i, its leading coefficient.
 
-    Raises ScalarModeError for a mixture of the two kinds, and
-    ValueError with one message per condition: ``need at least one
-    shift value`` for no values, ``shift values must be nonzero`` for a
-    zero rational value, and ``shift values must be finite and
-    nonzero`` for a float value that is zero, infinite or NaN.
-    :func:`fgmexp.mldegree.profile` checks its values with the same two
-    checks, so it raises the same messages.
+    ``c`` is a one-dimensional sequence of values that are all rational
+    (Fraction, int, bool, numpy integer or bool) or all float (float or
+    numpy float), or a one-dimensional ndarray of a bool, integer or
+    float dtype.  Raises ScalarModeError for anything else: a mixture of
+    the two kinds, a string, None, a complex value, a nested sequence or
+    an ndarray of another dimension.  Raises ValueError with one message
+    per condition: ``need at least one shift value`` for no values,
+    ``shift values must be nonzero`` for a zero rational value, and
+    ``shift values must be finite and nonzero`` for a float value that
+    is zero, infinite or NaN.  :func:`fgmexp.mldegree.profile` reads its
+    values with the same normalizer, so it accepts the same values and
+    raises the same errors.
     """
-    pairs, kind = _linear_factors(c)
+    kind, shifts, _ = _linear_factors(c)
     if kind == FLOAT:
         coeffs = [1.0]
-        for a, b in pairs:
-            # multiply by (a theta + b): new[j] = a*old[j-1] + b*old[j]
+        for b in shifts.tolist():
+            # multiply by (theta + b): new[j] = old[j-1] + b*old[j]
             coeffs = [b * coeffs[0],
-                      *[a * lo + b * hi for lo, hi in zip(coeffs, coeffs[1:])],
-                      a * coeffs[-1]]
+                      *[lo + b * hi for lo, hi in zip(coeffs, coeffs[1:])],
+                      coeffs[-1]]
         return Poly(coeffs, FLOAT)
     # the odd factor out first, then two factors per pass: multiply by
     # (a1 theta + b1)(a2 theta + b2) = A theta^2 + B theta + C, so
     # new[j] = A*old[j-2] + B*old[j-1] + C*old[j]
-    odd = len(pairs) % 2
-    coeffs = [pairs[0][1], pairs[0][0]] if odd else [1]
-    for (a1, b1), (a2, b2) in zip(pairs[odd::2], pairs[odd + 1::2]):
+    odd = len(shifts) % 2
+    coeffs = [shifts[0][1], shifts[0][0]] if odd else [1]
+    for (a1, b1), (a2, b2) in zip(shifts[odd::2], shifts[odd + 1::2]):
         qa, qb, qc = a1 * a2, a1 * b2 + a2 * b1, b1 * b2
         coeffs = [qc * coeffs[0],
                   *[qa * x + qb * y + qc * z

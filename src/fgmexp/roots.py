@@ -196,6 +196,7 @@ def score_root_from_weights(w: np.ndarray) -> float | None:
     stops once |f| <= :data:`STOP_REL` * sum |w_i / (1 + theta w_i)|,
     where the rounding error of the computed score can hide its sign, or
     once the bracket has no float strictly inside.  Raises ValueError for
+    weights that are not one-dimensional bools, integers or floats, for
     a weight that is not finite or lies outside [-1, 1], or when no
     weight is nonzero.
     """

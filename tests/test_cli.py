@@ -336,8 +336,10 @@ BAD_ARGUMENTS = [
     ("--n", _sample(n="0")),
     ("--n", _sample(n="abc")),
     ("--theta", _sample(theta="2")),
+    ("--theta", _sample(theta="abc")),
     ("--seed", _sample(seed="-1")),
     ("--trials", ["verify", "--trials", "0"]),
+    ("--trials", ["verify", "--trials", "1.5"]),
     ("--n-max", ["verify", "--n-max", "1"]),
     ("--pattern", ["verify", "--pattern", "1"]),
     ("--pattern", ["verify", "--pattern", "2,x"]),

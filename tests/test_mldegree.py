@@ -253,14 +253,15 @@ class TestApproxProfileMatchesLoop:
 
 class TestScalarKind:
     def test_mixed_input_outcome_per_caller(self):
-        # one detector: the profile falls back to approx, polynomials refuse
+        # one detector and one normalizer: every caller refuses a mixture
         mixed = [F(1, 2), 0.5, 3]
         assert polynomials.scalar_kind(mixed) is None
-        prof = profile(mixed)
-        assert prof.mode == "approx"
-        assert list(zip(prof.values, prof.mults)) == [(0.5, 2), (3.0, 1)]
-        with pytest.raises(ScalarModeError):
-            build_k(mixed)
+        messages = set()
+        for entry_point in (profile, build_k, ml_degree_report):
+            with pytest.raises(ScalarModeError) as err:
+                entry_point(mixed)
+            messages.add(str(err.value))
+        assert len(messages) == 1
 
     def test_arrays_decided_by_dtype(self):
         assert polynomials.scalar_kind(np.array([2, 2, 3])) == polynomials.RATIONAL
@@ -402,8 +403,8 @@ class TestMlDegreeAlgebraic:
     def test_raises_what_the_exact_profile_raises(self, c):
         with pytest.raises(Exception) as got:
             ml_degree_algebraic(c)
-        if polynomials.scalar_kind(c) != polynomials.RATIONAL:
-            # such values are grouped approximately, never exactly
+        if polynomials.scalar_kind(c) == polynomials.FLOAT:
+            # float values are grouped approximately, never counted exactly
             assert type(got.value) is ScalarModeError
             return
         with pytest.raises(Exception) as want:
