@@ -289,17 +289,17 @@ def cmd_verify(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _int_at_least(low: int, name: str):
-    """Argument type: an integer no less than ``low``, by the model's one
-    integer check."""
-    return _value_arg(lambda text: model._integer(int(text), low, name))
+def _int_arg(low: int, name: str, high: int | None = None):
+    """Argument type: an integer no less than ``low`` (and no more than
+    ``high``, if given), by the model's one integer check."""
+    return _value_arg(lambda text: model._integer(int(text), low, name, high))
 
 
 def _pattern_arg(text: str):
     """Argument type: ``"n"`` (all equal), or a tuple of multiplicities >= 2."""
     if text.strip() == "n":
         return "n"
-    return tuple(map(_int_at_least(2, "multiplicity"), text.split(",")))
+    return tuple(map(_int_arg(2, "multiplicity"), text.split(",")))
 
 
 def _value_arg(parse):
@@ -333,11 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", parents=[common], help="write a simulated CSV dataset")
-    p.add_argument("--n", type=_int_at_least(1, "sample size"), required=True,
-                   help="sample size")
+    p.add_argument("--n", type=_int_arg(1, "sample size", model._MAX_SAMPLE_SIZE),
+                   required=True, help="sample size")
     p.add_argument("--theta", type=_value_arg(lambda text: model.validate_theta(float(text))),
                    required=True, help="association in [-1, 1]")
-    p.add_argument("--seed", type=_int_at_least(0, "seed"), required=True)
+    p.add_argument("--seed", type=_int_arg(0, "seed"), required=True)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_sample)
 
@@ -355,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mldegree, c=None, in_path=None)
 
     p = sub.add_parser("verify", parents=[common], help="randomized cross-check campaign")
-    p.add_argument("--trials", type=_int_at_least(1, "trials"), default=500)
-    p.add_argument("--n-max", dest="n_max", type=_int_at_least(2, "n_max"), default=10)
+    p.add_argument("--trials", type=_int_arg(1, "trials"), default=500)
+    p.add_argument("--n-max", dest="n_max", type=_int_arg(2, "n_max"), default=10)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(
         "--pattern",

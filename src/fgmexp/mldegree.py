@@ -162,7 +162,10 @@ def _group_starts(s: np.ndarray) -> np.ndarray:
     np.maximum(tol, s[1:], out=tol)
     np.maximum(tol, 1.0, out=tol)
     tol *= APPROX_REL_TOL
-    return np.flatnonzero(np.concatenate(([True], np.diff(s) > tol)))
+    # the gap between opposite-sign values near the float limit overflows
+    # to inf, which is rightly a break
+    with np.errstate(over="ignore"):
+        return np.flatnonzero(np.concatenate(([True], np.diff(s) > tol)))
 
 
 def common_zeros(prof: MultiplicityProfile) -> tuple[tuple, ...]:

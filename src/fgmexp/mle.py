@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import roots
-from .model import Dataset, _weight_array, log_likelihood_weights
+from .model import Dataset, _log_likelihood, _weight_array
 
 __all__ = ["FitResult", "NoDataError", "fit", "fit_from_weights"]
 
@@ -92,7 +92,7 @@ def fit_from_weights(weights: Sequence[float]) -> FitResult:
         theta = 1.0 if np.add.reduce(eff) > 0.0 else -1.0
     return FitResult(
         theta_hat=theta,
-        loglik=log_likelihood_weights(eff, theta),
+        loglik=_log_likelihood(eff, theta),
         at_boundary=root is None,
         interior_root=root,
         n_effective=n_eff,

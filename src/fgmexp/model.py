@@ -19,7 +19,6 @@ import locale
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -85,13 +84,20 @@ def validate_theta(theta) -> float:
     return float(theta)
 
 
-def _integer(value, low: int, name: str) -> int:
+def _integer(value, low: int, name: str, high: int | None = None) -> int:
     """``value`` as an int, the one check of every size and seed:
     ValueError unless it is an integer (an int, a bool or a numpy
-    integer) no less than ``low``."""
+    integer) no less than ``low`` and, if ``high`` is given, no more."""
     if not (isinstance(value, (int, np.integer)) and value >= low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value!r}")
     return int(value)
+
+
+# The largest sample size: sample draws 2n 8-byte uniforms in one array,
+# whose size in bytes numpy holds in its signed index type.
+_MAX_SAMPLE_SIZE = np.iinfo(np.intp).max // 16
 
 
 def _weight_array(weights) -> np.ndarray:
@@ -239,11 +245,17 @@ def log_likelihood_weights(weights: np.ndarray, theta: float) -> float:
     The weights are a one-dimensional sequence or ndarray of bools,
     integers or floats, converted to float64, as every weight entry point
     takes them; ValueError for any other shape or dtype, such as a 2-D
-    array or strings, and for a theta that :func:`validate_theta`
-    rejects."""
+    array or strings, for a weight that is not finite or lies outside
+    [-1, 1], as :func:`validate_weights` checks, and for a theta that
+    :func:`validate_theta` rejects."""
     t = validate_theta(theta)
-    terms = 1.0 + t * _weight_array(weights)
-    # a NaN makes the minimum NaN, which fails the comparison
+    return _log_likelihood(validate_weights(weights), t)
+
+
+def _log_likelihood(w: np.ndarray, t: float) -> float:
+    """:func:`log_likelihood_weights` of weights and a theta already
+    checked, as a fit's are."""
+    terms = 1.0 + t * w
     if np.minimum.reduce(terms, initial=math.inf) <= 0.0:
         return float("-inf")
     return float(np.add.reduce(np.log(terms)))
@@ -269,7 +281,7 @@ def score_weights(weights: np.ndarray, theta: float) -> float:
     """Score from a weight vector: sum of w_i / (1 + theta*w_i).  The
     weights and theta are checked as in :func:`log_likelihood_weights`."""
     t = validate_theta(theta)
-    w = _weight_array(weights)
+    w = validate_weights(weights)
     denom = 1.0 + t * w
     bad = np.flatnonzero(denom == 0.0)
     if bad.size:
@@ -320,11 +332,12 @@ def sample(n: int, theta: float, seed: int) -> Dataset:
     seed).
 
     ``n`` and ``seed`` are integers (an int, a bool or a numpy integer),
-    ``n >= 1`` and ``seed >= 0``, and ``theta`` a real number in [-1, 1];
-    anything else is a ValueError.
+    ``1 <= n <= _MAX_SAMPLE_SIZE`` and ``seed >= 0``, and ``theta`` a
+    real number in [-1, 1]; anything else is a ValueError.  A size that
+    passes can still be more than memory holds, which numpy reports.
     """
     t = validate_theta(theta)
-    n = _integer(n, 1, "sample size")
+    n = _integer(n, 1, "sample size", _MAX_SAMPLE_SIZE)
     seed = _integer(seed, 0, "seed")
     # the stream of default_rng(seed): the n values of u, then of t
     draws = _open_uniform(np.random.Generator(np.random.PCG64(seed)), 2 * n)
@@ -352,22 +365,23 @@ def read_csv(path) -> Dataset:
     cannot decode.
     Blank rows are skipped.
 
-    A file :func:`write_csv` wrote is parsed block by block
-    (:func:`_parse_plain`), so beyond the decoded text and the dataset
-    the parse holds one block of cells at a time; any other file is
-    read row by row by ``csv.reader``.
+    The file is read once, as bytes.  A file in :func:`write_csv`'s
+    alphabet goes to numpy's reader (:func:`_parse_plain`); any other
+    file, or one that numpy's reader or the point check rejects, is
+    decoded and read row by row by ``csv.reader``, which gives every
+    error its line number.  So beyond the dataset, reading holds the
+    file's bytes and, on the fast path, numpy's (n, 2) array.
     """
-    text = _read_text(path)
-    data = _parse_plain(text)
-    return data if data is not None else _parse_csv(text)
-
-
-def _read_text(path) -> str:
-    """The file decoded as ``open(path, newline="")`` would, line endings
-    kept; undecodable bytes raise :class:`DataFormatError`."""
     with open(path, "rb") as fh:
         raw = fh.read()
     encoding = locale.getpreferredencoding(False)
+    data = _parse_plain(raw, encoding)
+    return data if data is not None else _parse_csv(_decode(raw, encoding))
+
+
+def _decode(raw: bytes, encoding: str) -> str:
+    """``raw`` decoded as ``open(path, newline="")`` would, line endings
+    kept; undecodable bytes raise :class:`DataFormatError`."""
     try:
         return raw.decode(encoding)
     except UnicodeDecodeError as exc:
@@ -378,93 +392,55 @@ def _read_text(path) -> str:
         ) from None
 
 
-# Characters of text per block of the bulk parse: a block runs on to the
-# first line feed at or past this length, so it always ends a row.
-_READ_BLOCK_CHARS = 1 << 18
+# Each byte's kind for the fast path: "a" for a byte of a field in
+# write_csv's alphabet (a float repr's characters, the header's letters,
+# and the spaces and tabs a hand edit may add), "," for the comma and the
+# line endings, which end a field, and "?" for any other byte.
+_BYTE_KINDS = b"".join(b"a" if b in b"0123456789.eE+-xy \t" else b"," if b in b",\r\n" else b"?"
+                       for b in range(256))
 
 
-def _parse_plain(text: str) -> Dataset | None:
-    """Bulk parse of a file that needs none of the csv module's rules.
+def _parse_plain(raw: bytes, encoding: str) -> Dataset | None:
+    """The dataset ``np.loadtxt`` reads from ``raw``, or None, for
+    :func:`_parse_csv` to read the whole file.
 
-    Returns None, for :func:`_parse_csv` to handle the whole file, unless
-    the text has no quote character and no lone carriage return, the
-    header splits into ``x`` and ``y``, every nonblank row splits on its
-    single comma into two fields that ``float()`` accepts, and every
-    value is finite and nonnegative.  On such text ``csv.reader`` reads
-    exactly these fields, so both parsers give the same dataset.  Every
-    file :func:`write_csv` writes qualifies.
+    numpy gets the bytes only when all of them are in :func:`write_csv`'s
+    alphabet (``0123456789.eE+-xy``, comma, space, tab, CR and LF), no
+    run of field bytes (all but the comma, CR and LF) is longer than
+    ``csv.field_size_limit()``, the header, up to the first line feed,
+    has no carriage return before its line ending and cells that strip
+    to ``x`` and ``y``, and a comma follows it, so numpy sees a row and
+    never warns of an empty file.  Every file :func:`write_csv` writes
+    qualifies.  A ValueError from numpy or :meth:`Dataset.from_arrays`,
+    or rows of other than two columns, give None.
 
-    The header line is checked once; the rows after it are walked in
-    blocks of about ``_READ_BLOCK_CHARS`` characters, each cut just
-    after a line feed, so a row, a blank row or a CRLF ending never
-    straddles two blocks.  Each block gets :func:`_plain_rows`' check on
-    its bytes, one split into cells and one ``float()`` per cell, and
-    its values go into one float64 array sized by the count of line
-    feeds, which bounds the count of rows.  So no row string is built,
-    and beyond the text and the array only one block's cells are held
-    at a time.  A CRLF ending's carriage return stays at the end of the
-    y cell, where ``float()`` strips it as whitespace, as ``csv.reader``
-    drops it with the ending.
+    Why both parsers agree when numpy succeeds: the alphabet has no
+    quote, no underscore, no non-ASCII digit and no whitespace but the
+    space, the tab and the line endings, and numpy reads the bytes
+    already read, so it skips the header just checked.  On such bytes
+    both parsers split fields at every comma, strip spaces and tabs,
+    skip empty lines and convert each field with CPython's correctly
+    rounded decimal-to-double routine, the one ``float()`` uses.
+    Wherever numpy cannot split a line as ``csv.reader`` does, it
+    raises: a carriage return inside a line is an embedded newline to
+    it, and a whitespace-only line or a line of one field changes its
+    count of columns.  A field ``csv.reader`` rejects as over its size
+    limit is a run of field bytes that long, which the gate turns away.
     """
-    if '"' in text:
+    kinds, limit = raw.translate(_BYTE_KINDS), csv.field_size_limit()
+    end = raw.find(b"\n")
+    header = raw[:end].removesuffix(b"\r")
+    if (end < 0 or b"?" in kinds or (limit < len(raw) and b"a" * (limit + 1) in kinds)
+            or b"\r" in header or [cell.strip() for cell in header.split(b",")] != [b"x", b"y"]
+            or raw.find(b",", end) < 0):
         return None
-    start = text.find("\n") + 1 or len(text)
-    header = text[:start]
-    if [cell.strip() for cell in header.split(",")] != ["x", "y"] or _plain_rows(header) is None:
-        return None
-    values = np.empty(2 * text.count("\n"))
-    filled = 0
-    while start < len(text):
-        stop = text.find("\n", start + _READ_BLOCK_CHARS - 1) + 1 or len(text)
-        block = _plain_rows(text[start:stop])
-        if block is None:
-            return None
-        cells = block.replace("\n", ",").split(",")
-        # two per row, and an empty one after a final line feed
-        count = len(cells) - len(cells) % 2
-        try:
-            parsed = np.fromiter(map(float, islice(cells, count)), dtype=float, count=count)
-        except ValueError:
-            return None
-        values[filled:filled + count] = parsed
-        filled += count
-        start = stop
+    del kinds  # a copy of the file, freed before numpy reads it
     try:
-        return Dataset.from_arrays(values[0:filled:2], values[1:filled:2])
+        xy = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=1, ndmin=2,
+                        comments=None, encoding=encoding)
+        return Dataset.from_arrays(xy[:, 0], xy[:, 1]) if xy.shape[1] == 2 else None
     except ValueError:
         return None
-
-
-def _plain_rows(text: str) -> str | None:
-    """``text`` without its blank rows (``""`` or ``"\\r"``), or None if
-    it has a lone carriage return or a nonblank row without exactly one
-    comma.
-
-    Checked on the UTF-8 bytes, where a multi-byte character never holds
-    a comma, a line feed or a carriage return, with one line feed mask:
-    every carriage return must be followed by a line feed, and every row
-    holds one comma when commas and line feeds alternate, comma first,
-    and the bytes are empty, end with a line feed or end in a row past
-    its comma.  A blank row breaks that alternation, so only then are
-    the rows split, rejoined without the blank ones and the result
-    checked in turn.
-    """
-    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    lf = raw == ord("\n")
-    mask = raw == ord("\r")
-    crs = np.count_nonzero(mask)
-    mask[:-1] &= lf[1:]
-    if np.count_nonzero(mask[:-1]) != crs:
-        return None
-    np.equal(raw, ord(","), out=mask)
-    mask |= lf
-    seps = raw[mask]
-    if ((seps[0::2] == ord(",")).all() and (seps[1::2] == ord("\n")).all()
-            and (len(seps) % 2 or lf[-1:].all())):
-        return text
-    # a line feed after every kept row, so no carriage return turns lone
-    rows = "\n".join([row for row in text.split("\n") if row not in ("", "\r")] + [""])
-    return None if rows == text else _plain_rows(rows)
 
 
 def _parse_csv(text: str) -> Dataset:

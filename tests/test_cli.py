@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fgmexp import mldegree, polynomials
+from fgmexp import mldegree, model, polynomials
 from fgmexp.cli import main, run_campaign
 
 
@@ -364,6 +364,12 @@ def test_bad_argument_is_a_usage_error(tmp_path, capsys, option, argv):
     assert captured.err.startswith(f"usage: fgmexp {argv[0]} ")
     assert f"error: argument {option}: " in captured.err
     assert not out.exists()
+
+
+def test_sample_size_past_the_model_bound_is_a_usage_error(tmp_path, capsys):
+    # rejected before anything is drawn, so nothing is allocated
+    for n in (model._MAX_SAMPLE_SIZE + 1, 10**30):
+        test_bad_argument_is_a_usage_error(tmp_path, capsys, "--n", _sample(n=str(n)))
 
 
 class TestOutputModes:

@@ -1,4 +1,5 @@
 import random
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -110,6 +111,14 @@ class TestProfile:
     def test_approx_keeps_separated_values_apart(self):
         prof = profile([2.0, 2.0 + 1e-6, -4.0])
         assert (prof.p, prof.l, prof.m) == (3, 0, 0)
+
+    def test_approx_opposite_values_near_the_float_limit_are_apart(self):
+        # their gap overflows to inf, a break, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prof = profile([1e308, -1e308, 1e308, -1.7976931348623157e308])
+        assert prof.values == [1e308, -1e308, -1.7976931348623157e308]
+        assert prof.mults.tolist() == [2, 1, 1]
 
     def test_approx_transitive_closure_is_a_partition(self):
         # chain of values each within tolerance of its neighbor collapses

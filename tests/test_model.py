@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,24 @@ class TestLogLikelihood:
         assert log_likelihood(ds, 1.0) > 0.0
 
 
+@pytest.mark.parametrize("call", [log_likelihood_weights, score_weights],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("weights,theta", [
+    ([math.inf, 0.5], 0.0),
+    ([math.nan, 0.5], 0.5),
+    ([math.inf, 0.5], 0.5),
+    ([0.5, -math.inf], -1.0),
+    ([1.5, 0.5], 0.5),
+    ([0.25, -1.0000000000000002], 0.0),
+])
+def test_weight_entry_points_share_the_range_rule(call, weights, theta):
+    # the package's error, as fit_from_weights gives, and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^weights must be finite and lie in \[-1, 1\]$"):
+            call(weights, theta)
+
+
 class TestScore:
     def test_theta_zero_gives_weight_sum(self):
         ds = dataset([(0.2, 0.9), (1.4, 0.3), (3.0, 2.2)])
@@ -317,6 +336,13 @@ class TestSample:
             sample(0, 0.5, 1)
         with pytest.raises(ValueError):
             sample(10, 1.5, 1)
+
+    @pytest.mark.parametrize("n", [model._MAX_SAMPLE_SIZE + 1, 2**62, 2**63, 10**30])
+    def test_rejects_a_size_whose_draws_numpy_cannot_index(self, n):
+        # each size fails the check before any allocation
+        assert 2 * 8 * model._MAX_SAMPLE_SIZE <= np.iinfo(np.intp).max
+        with pytest.raises(ValueError, match=r"^sample size must be at most \d+, got \d+$"):
+            sample(n, 0.3, 1)
 
     def test_coordinates_strictly_positive_and_finite(self):
         ds = sample(5000, -1.0, 77)

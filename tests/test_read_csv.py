@@ -1,8 +1,9 @@
 """The bulk ``read_csv`` parse against the ``csv.reader`` parse.
 
-``model._parse_plain`` reads files that need none of the csv module's
-rules and declines (returns None) everything else, which
-``model._parse_csv`` then reads row by row.  Whenever the bulk parse
+``model._parse_plain`` hands a file in ``write_csv``'s alphabet to
+``np.loadtxt`` and declines (returns None) every other file, and every
+file numpy's reader or the point check rejects; ``model._parse_csv``
+then reads it row by row.  Whenever the bulk parse
 accepts a file, both must give bit-identical columns; and ``read_csv``
 as a whole must behave exactly like the row-by-row reader it replaced,
 kept below as the oracle, except that it reports that reader's
@@ -11,16 +12,21 @@ the physical line they end on (``reader.line_num``), as ``read_csv``
 does; the reader it copies numbered them by record, one too low after a
 quoted field holding a line break.
 
-The bulk parse walks the rows in blocks of ``model._READ_BLOCK_CHARS``
-characters; the tests below rerun the cases with that length set to a
-few characters, so that rows, blank rows and CRLF endings straddle the
-points where a block would end.  ``write_csv`` writes in blocks of rows,
+``read_csv`` reads the whole file in one call, so it must take a file
+that arrives in short pieces, as one written to a pipe does; the tests
+ending ``in_short_blocks`` rerun the cases through a named pipe fed a
+few bytes per write, so that rows, blank rows and CRLF endings straddle
+the points where a piece ends.  ``write_csv`` writes in blocks of rows,
 and must give the bytes of the one-string formatting it replaced, kept
 below as its oracle.
 """
 
 import csv
+import locale
 import math
+import os
+import threading
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -76,10 +82,40 @@ def outcome(parse, arg):
     return ("data", data.x.tobytes(), data.y.tobytes())
 
 
-def check_file(path, text: str) -> bool:
-    """Assert both parses agree on ``text``; True when the bulk one took it."""
+def piped_outcome(path, text: str, block_chars: int):
+    """What ``read_csv`` did with ``text`` read from a named pipe at
+    ``path``, fed ``block_chars`` bytes per write."""
+    raw = text.encode("utf-8")
+    os.mkfifo(path)
+
+    def feed():
+        fd = os.open(path, os.O_WRONLY)
+        try:
+            for i in range(0, len(raw), block_chars):
+                os.write(fd, raw[i:i + block_chars])
+        finally:
+            os.close(fd)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return outcome(read_csv, path)
+    finally:
+        writer.join(timeout=60)
+        path.unlink()
+        assert not writer.is_alive(), "the pipe's writer did not finish"
+
+
+def check_file(path, text: str, block_chars: int | None = None) -> bool:
+    """Assert both parses agree on ``text``, and ``read_csv`` warns of
+    nothing, also when it reads ``text`` from a pipe in writes of
+    ``block_chars`` bytes; True when the bulk one took it."""
     path.write_bytes(text.encode("utf-8"))
-    got, want = outcome(read_csv, path), outcome(oracle_read_csv, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = (outcome(read_csv, path) if block_chars is None
+               else piped_outcome(path.with_suffix(".pipe"), text, block_chars))
+    want = outcome(oracle_read_csv, path)
     if want[0] == "csv.Error":
         # the one outcome that differs: read_csv reports the csv module's
         # error as a DataFormatError, with the line where it stopped
@@ -87,12 +123,20 @@ def check_file(path, text: str) -> bool:
         assert got[1].endswith(want[1])
     else:
         assert got == want
-    fast = model._parse_plain(text)
+    fast = parse_plain(text)
     if fast is None:
         return False
     assert ("data", fast.x.tobytes(), fast.y.tobytes()) == outcome(model._parse_csv, text)
     return True
 
+
+def parse_plain(text: str):
+    """The bulk parse of ``text`` as the file ``check_file`` writes."""
+    return model._parse_plain(text.encode("utf-8"), locale.getpreferredencoding(False))
+
+
+# the longest field csv.reader takes
+LIMIT = csv.field_size_limit()
 
 # (file text, whether the bulk parse should take it)
 CASES = {
@@ -105,20 +149,19 @@ CASES = {
     "whitespace around values": ("x,y\n 1.5 , 2.0\t\n", True),
     "spaced header": (" x , y\n1.0,2.0\n", True),
     "negative zero": ("x,y\n-0.0,0.0\n0.0,-0.0\n", True),
-    "underscore literal": ("x,y\n1_0,2\n", True),
+    "underscore literal": ("x,y\n1_0,2\n", False),
     "exponents": ("x,y\n1e-300,2.5E+2\n", True),
-    "header only": ("x,y\n", True),
-    "header only no newline": ("x,y", True),
+    "header only": ("x,y\n", False),
+    "header only no newline": ("x,y", False),
     "mixed lf and crlf": ("x,y\r\n1,2\n3,4\r\n", True),
     "crlf blank row between data rows": ("x,y\r\n1,2\r\n\r\n3,4\r\n", True),
-    "non-ascii digits": ("x,y\n\u0661.5,\u0662\n", True),
-    "vertical tab and form feed around values": ("x,y\n\x0b1\x0c,2\x0b\n", True),
-    "next line after a value": ("x,y\n1\x85,2\n", True),
-    # blank rows are dropped and the commas checked again; the carriage
-    # return check ran before, on the file as read
+    "non-ascii digits": ("x,y\n\u0661.5,\u0662\n", False),
+    "vertical tab and form feed around values": ("x,y\n\x0b1\x0c,2\x0b\n", False),
+    "next line after a value": ("x,y\n1\x85,2\n", False),
+    # numpy skips these blank rows, as csv.reader does
     "crlf ending before a trailing blank row": ("x,y\r\n1,2\r\n\r\n", True),
     "carriage-return-only row at the end": ("x,y\n1,2\n\r\n", True),
-    "blank rows only": ("x,y\n\n\r\n\n", True),
+    "blank rows only": ("x,y\n\n\r\n\n", False),
     "empty file": ("", False),
     "blank first line": ("\nx,y\n1,2\n", False),
     "bad header": ("a,b\n1,2\n", False),
@@ -131,7 +174,7 @@ CASES = {
     "lone carriage return endings": ("x,y\r1,2\r3,4\r", False),
     "lone carriage return in a row": ("x,y\n1,2\r3,4\n", False),
     "carriage return before crlf": ("x,y\n1,2\r\r\n", False),
-    "carriage return at the very end": ("x,y\n1,2\r", False),
+    "carriage return at the very end": ("x,y\n1,2\r", True),
     "lone carriage return in the header": ("x\r,y\n1,2\n", False),
     "header ending in a lone carriage return": ("x,y\r", False),
     "blank row before a lone carriage return": ("x,y\n\n1,2\r3,4\n", False),
@@ -151,6 +194,9 @@ CASES = {
     "one then three fields": ("x,y\n1\n2,3,4\n", False),
     "three then one fields": ("x,y\n1,2,3\n4\n", False),
     "file separator after a value": ("x,y\n1\x1c,2\n", False),
+    "group separator after a value": ("x,y\n1\x1d,2\n", False),
+    "record separator after a value": ("x,y\n1\x1e,2\n", False),
+    "unit separator after a value": ("x,y\n1\x1f,2\n", False),
     "whitespace-only row": ("x,y\n1,2\n  \n", False),
     "non-numeric": ("x,y\n1,2\nbogus,3\n", False),
     "negative before non-numeric": ("x,y\n1,2\n-1,2\n3,4\nbogus,5\n", False),
@@ -158,6 +204,10 @@ CASES = {
     "nul row": ("x,y\n\x00\n", False),
     "nul in header": ("x,y\x00\n1,2\n", False),
     "field over the csv size limit": ("x,y\n0.5,0.25\n" + "1" * 200000 + ",0.5\n", False),
+    # a finite value one character over the limit, and one at it
+    "finite field over the csv size limit": ("x,y\n0.5,0.25\n" + "0" * LIMIT + "1,0.5\n", False),
+    "spaces over the csv size limit": ("x,y\n0.5," + " " * LIMIT + "1\n", False),
+    "field at the csv size limit": ("x,y\n0.5,0.25\n" + "0" * (LIMIT - 1) + "1,0.5\n", True),
 }
 
 
@@ -167,15 +217,14 @@ def test_bulk_parse_matches_csv_reader(tmp_path, name):
     assert check_file(tmp_path / "data.csv", text) is takes_bulk_path
 
 
-# block lengths, in characters, far below the default
+# bytes per write to the pipe, far below a line of a written file
 BLOCK_CHARS = [1, 2, 3, 7, 64]
 
 
 @pytest.mark.parametrize("block_chars", BLOCK_CHARS)
-def test_bulk_parse_matches_csv_reader_in_short_blocks(tmp_path, monkeypatch, block_chars):
-    monkeypatch.setattr(model, "_READ_BLOCK_CHARS", block_chars)
+def test_bulk_parse_matches_csv_reader_in_short_blocks(tmp_path, block_chars):
     for name, (text, takes_bulk_path) in CASES.items():
-        assert check_file(tmp_path / "data.csv", text) is takes_bulk_path, name
+        assert check_file(tmp_path / "data.csv", text, block_chars) is takes_bulk_path, name
 
 
 def test_written_files_take_the_bulk_path(tmp_path):
@@ -184,20 +233,21 @@ def test_written_files_take_the_bulk_path(tmp_path):
     model.write_csv(path, data)
     text = path.read_bytes().decode("utf-8")
     assert check_file(path, text)
-    assert model._parse_plain(text) == data
+    assert parse_plain(text) == data
 
 
 def test_benchmark_size_file_reads_back_bit_for_bit(tmp_path):
     data = model.sample(100_000, 0.3, 5)
     path = tmp_path / "data.csv"
     model.write_csv(path, data)
-    assert model._parse_plain(path.read_bytes().decode("utf-8")) is not None
+    assert parse_plain(path.read_bytes().decode("utf-8")) is not None
     got = read_csv(path)
     assert got.x.tobytes() == data.x.tobytes()
     assert got.y.tobytes() == data.y.tobytes()
 
 
-VALID = ["1.5", " 2 ", "0", "-0.0", "7e-3", "1_0", "4.25\t", "0.1", "\u0663.\u0665", "\x0c0.5\x0c"]
+PLAIN = ["1.5", " 2 ", "0", "-0.0", "7e-3", "4.25\t", "0.1"]
+VALID = PLAIN + ["1_0", "\u0663.\u0665", "\x0c0.5\x0c"]
 INVALID = ["1e400", "nan", "inf", "-1", "", "abc", '"3"', "\x00"]
 HEADERS = ["x,y", " x , y", "x, y", "X,Y", "x", "x,y,z", '"x",y', ""]
 
@@ -218,8 +268,10 @@ def csv_texts(draw, headers, cells, arity, endings):
     return "".join(parts)
 
 
-# files the bulk parse takes, and files of every kind
-plain_texts = csv_texts(["x,y", " x , y", "x, y"], VALID, (2, 2), ["\n", "\r\n"])
+# files the bulk parse takes (at least one row after the header), and
+# files of every kind
+plain_texts = csv_texts(["x,y", " x , y", "x, y"], PLAIN, (2, 2), ["\n", "\r\n"]).filter(
+    lambda text: "," in text.partition("\n")[2])
 any_texts = csv_texts(HEADERS, VALID + INVALID, (1, 3), ["\n", "\r\n", "\r"])
 
 
@@ -232,23 +284,24 @@ def test_bulk_parse_matches_csv_reader_on_generated_files(tmp_path, text):
 
 @given(text=plain_texts)
 def test_bulk_parse_takes_plain_files(text):
-    assert model._parse_plain(text) is not None
+    assert parse_plain(text) is not None
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=st.one_of(plain_texts, any_texts), block_chars=st.sampled_from(BLOCK_CHARS))
 def test_bulk_parse_matches_csv_reader_on_generated_files_in_short_blocks(
-        tmp_path, monkeypatch, text, block_chars):
-    monkeypatch.setattr(model, "_READ_BLOCK_CHARS", block_chars)
-    check_file(tmp_path / "data.csv", text)
+        tmp_path, text, block_chars):
+    check_file(tmp_path / "data.csv", text, block_chars)
 
 
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=plain_texts, block_chars=st.sampled_from(BLOCK_CHARS))
-def test_bulk_parse_takes_plain_files_in_short_blocks(monkeypatch, text, block_chars):
-    monkeypatch.setattr(model, "_READ_BLOCK_CHARS", block_chars)
-    assert model._parse_plain(text) is not None
+def test_bulk_parse_takes_plain_files_in_short_blocks(tmp_path, text, block_chars):
+    fast = parse_plain(text)
+    assert fast is not None
+    assert piped_outcome(tmp_path / "data.pipe", text, block_chars) == (
+        "data", fast.x.tobytes(), fast.y.tobytes())
 
 
 ROW_NUMBER_CASES = [
@@ -271,10 +324,9 @@ def test_rows_are_numbered_by_physical_line(tmp_path, text, line_no):
 
 @pytest.mark.parametrize("block_chars", BLOCK_CHARS)
 @pytest.mark.parametrize("text,line_no", ROW_NUMBER_CASES)
-def test_rows_are_numbered_by_physical_line_in_short_blocks(
-        tmp_path, monkeypatch, text, line_no, block_chars):
-    monkeypatch.setattr(model, "_READ_BLOCK_CHARS", block_chars)
-    test_rows_are_numbered_by_physical_line(tmp_path, text, line_no)
+def test_rows_are_numbered_by_physical_line_in_short_blocks(tmp_path, text, line_no, block_chars):
+    got = piped_outcome(tmp_path / "data.pipe", text, block_chars)
+    assert got[0] == "DataFormatError" and got[2] == line_no
 
 
 def oracle_csv_text(data: Dataset) -> str:
