@@ -24,9 +24,18 @@ array among them, is :class:`ScalarModeError`.  Then one check per kind:
 there must be at least one value, an exact value must be nonzero, and a
 float value finite and nonzero.
 
+Every exact scalar the module takes -- a shift value, a coefficient of a
+rational :class:`Poly`, a point of :meth:`Poly.eval` or
+:func:`root_multiplicity` -- is read by one reader, :func:`_exact_pairs`,
+into a (denominator, numerator) pair of Python ints, after
+:func:`scalar_kind` has said it is rational: a float, a string or a
+mixture where a rational is read is :class:`ScalarModeError`, and a
+Fraction with numpy-integer parts enters the arithmetic with Python ints,
+so nothing wraps.
+
 The exact operations work on integers from start to finish.  A rational
 polynomial is held as a primitive integer vector times a rational scale,
-and the Fraction coefficients are built only when a caller reads them.
+and the Fraction coefficients are built from them on each read.
 :func:`build_k` multiplies the integer factors (d_i theta + n_i) of the
 shifts n_i/d_i, two to a pass as one quadratic; each factor is
 primitive, so by Gauss's lemma so is the product, and h = k' is its
@@ -48,7 +57,7 @@ division.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -73,21 +82,14 @@ FLOAT = "float"
 
 Scalar = Union[Fraction, float]
 
-# The types of an exact scalar, a shift value or a point at which a
-# rational polynomial is evaluated.  A bool is an int, and numpy's bool
-# counts as one too, so a list of bools and a bool array agree.
+# The types of an exact scalar: a shift value, a coefficient of a rational
+# polynomial or a point at which one is evaluated.  A bool is an int, and
+# numpy's bool counts as one too, so a list of bools and a bool array agree.
 _RATIONAL_TYPES = (Fraction, int, np.integer, np.bool_)
 
 
 class ScalarModeError(TypeError):
     """An operation received scalars of the wrong or mixed kind."""
-
-
-def _coerce(values: Iterable, kind: str) -> list:
-    if kind == RATIONAL:
-        # a Fraction is immutable and already in lowest terms
-        return [v if type(v) is Fraction else Fraction(v) for v in values]
-    return [float(v) for v in values]
 
 
 def scalar_kind(values: Sequence) -> str | None:
@@ -120,29 +122,45 @@ class Poly:
 
     A rational polynomial is held as a primitive integer vector whose
     leading entry is positive, times a rational scale; its Fraction
-    ``coeffs`` are built from them when first read.  A float polynomial
-    holds its coefficients.
+    ``coeffs`` are built from them on each read.  A float polynomial
+    holds its coefficients, each finite.
+
+    ``coeffs`` is a one-dimensional sequence (read once) or ndarray whose
+    kind, by :func:`scalar_kind`, is ``kind``; an empty one fits either
+    kind.  Rational coefficients are read as exactly as shift values, so
+    a bool list and a bool array, or a Fraction of numpy integers and of
+    Python ints, give the same polynomial.  Raises ScalarModeError
+    ``coefficients of a <kind> polynomial must be one-dimensional and all
+    <kind>`` for anything else: a float, a string or a mixture among
+    rational coefficients, an int among float ones.  Raises ValueError
+    ``float polynomial coefficients must be finite`` for an infinite or
+    NaN float coefficient, also where :func:`build_k`, :meth:`derivative`
+    or :meth:`monic` build a float polynomial that overflows.
     """
 
     kind: str
     _vector: tuple
     _scale: Fraction | None
-    _coeffs: tuple | None = field(compare=False)
 
     def __init__(self, coeffs: Iterable, kind: str = RATIONAL):
         if kind not in (RATIONAL, FLOAT):
             raise ValueError(f"unknown scalar kind {kind!r}")
-        cs = _coerce(coeffs, kind)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        cs = tuple(cs)
+        values = coeffs if isinstance(coeffs, (list, np.ndarray)) else list(coeffs)
+        got = scalar_kind(values)
+        if got != kind and (got is None or len(values)):
+            raise ScalarModeError(
+                f"coefficients of a {kind} polynomial must be one-dimensional and all {kind}")
         if kind == FLOAT:
-            _setup(self, FLOAT, cs, None, cs)
+            cs = [float(v) for v in values]
+            while cs and cs[-1] == 0:
+                cs.pop()
+            if not all(map(math.isfinite, cs)):
+                raise ValueError("float polynomial coefficients must be finite")
+            _setup(self, FLOAT, tuple(cs), None)
             return
-        den = math.lcm(*[c.denominator for c in cs])
-        vector, scale = _canonical([c.numerator * (den // c.denominator) for c in cs],
-                                   Fraction(1, den))
-        _setup(self, RATIONAL, vector, scale, cs)
+        pairs = _exact_pairs(values)
+        den = math.lcm(*[d for d, _ in pairs])
+        _setup(self, RATIONAL, *_canonical([n * (den // d) for d, n in pairs], Fraction(1, den)))
 
     def __repr__(self):
         return f"Poly(coeffs={self.coeffs!r}, kind={self.kind!r})"
@@ -152,12 +170,12 @@ class Poly:
     @property
     def coeffs(self) -> tuple:
         """The coefficients in ascending degree: Fractions in lowest terms
-        for a rational polynomial, floats for a float one."""
-        if self._coeffs is None:
-            num, den = self._scale.numerator, self._scale.denominator
-            coeffs = tuple(Fraction(x * num, den) for x in self._vector)
-            object.__setattr__(self, "_coeffs", coeffs)
-        return self._coeffs
+        for a rational polynomial, built on each read, floats for a float
+        one."""
+        if self.kind == FLOAT:
+            return self._vector
+        num, den = self._scale.numerator, self._scale.denominator
+        return tuple(Fraction(x * num, den) for x in self._vector)
 
     @property
     def degree(self):
@@ -179,17 +197,20 @@ class Poly:
     def eval(self, t):
         """Evaluate at ``t`` by Horner's rule.
 
-        The point must match the scalar kind: rational polynomials accept
-        Fraction/int points, float polynomials accept real or complex
-        points (reals widen to complex).
+        The point must match the scalar kind.  A rational polynomial takes
+        a rational point, read as exactly as its coefficients, and gives a
+        Fraction; anything else is ScalarModeError ``points of a rational
+        polynomial must be rational``.  A float polynomial takes a real or
+        complex point (reals widen to complex).
         """
         if self.kind == RATIONAL:
-            if not isinstance(t, _RATIONAL_TYPES):
-                raise ScalarModeError("rational polynomial evaluated at non-rational point")
-            acc = Fraction(0)
+            # Horner's rule on d**deg p(n/d): each step multiplies by n,
+            # and the coefficient taken at step j by d**j
+            d, n = _rational_point(t)
+            acc, power = 0, 1
             for x in reversed(self._vector):
-                acc = acc * t + x
-            return acc * self._scale
+                acc, power = acc * n + x * power, power * d
+            return self._scale * Fraction(acc * d, power)
         if not isinstance(t, (float, complex, int, np.floating, np.complexfloating)):
             raise ScalarModeError(f"cannot evaluate float polynomial at {type(t).__name__}")
         acc = 0.0
@@ -215,12 +236,10 @@ class Poly:
         return _rational(list(self._vector), Fraction(1, lead))
 
 
-def _setup(p: Poly, kind: str, vector: tuple, scale: Fraction | None,
-           coeffs: tuple | None) -> None:
+def _setup(p: Poly, kind: str, vector: tuple, scale: Fraction | None) -> None:
     object.__setattr__(p, "kind", kind)
     object.__setattr__(p, "_vector", vector)
     object.__setattr__(p, "_scale", scale)
-    object.__setattr__(p, "_coeffs", coeffs)
 
 
 def _canonical(ints: list[int], scale: Fraction) -> tuple[tuple, Fraction]:
@@ -242,7 +261,7 @@ def _canonical(ints: list[int], scale: Fraction) -> tuple[tuple, Fraction]:
 def _rational(ints: list[int], scale: Fraction) -> Poly:
     """The rational polynomial ``scale * sum(ints[i] theta**i)``."""
     p = object.__new__(Poly)
-    _setup(p, RATIONAL, *_canonical(ints, scale), None)
+    _setup(p, RATIONAL, *_canonical(ints, scale))
     return p
 
 
@@ -257,19 +276,36 @@ def _shift_values(c) -> tuple[list | np.ndarray, str]:
     return values, kind
 
 
-def _exact_shifts(values: Sequence) -> list[tuple[int, int]]:
-    """The rational shift values n/d in lowest terms as (d, n) pairs of
-    Python ints, in order.  ValueError for a zero value; this is the only
-    message the exact check gives."""
+def _exact_pairs(values: Sequence) -> list[tuple[int, int]]:
+    """The module's one exact reader: values that :func:`scalar_kind`
+    calls rational, each n/d in lowest terms as the (d, n) pair of Python
+    ints, in order.  Shift values, Poly coefficients and points all pass
+    through it."""
     # int() turns numpy integers and bools into Python ints
     pairs = [(v.denominator, v.numerator) if isinstance(v, Fraction) else (1, int(v))
              for v in values]
-    # one pass for both tests; a Fraction built from numpy integers keeps
-    # them as its parts, which would wrap in the exact arithmetic
-    if not all(n and type(d) is int is type(n) for d, n in pairs):
+    # a Fraction built from numpy integers keeps them as its parts, which
+    # would wrap in the exact arithmetic
+    if not all(type(d) is int is type(n) for d, n in pairs):
         pairs = [(int(d), int(n)) for d, n in pairs]
-        if not all(n for _, n in pairs):
-            raise ValueError("shift values must be nonzero")
+    return pairs
+
+
+def _rational_point(r) -> tuple[int, int]:
+    """A point of a rational polynomial as its (d, n) pair.
+    ScalarModeError for anything but one rational scalar."""
+    if scalar_kind([r]) != RATIONAL:
+        raise ScalarModeError("points of a rational polynomial must be rational")
+    return _exact_pairs([r])[0]
+
+
+def _exact_shifts(values: Sequence) -> list[tuple[int, int]]:
+    """The rational shift values as (d, n) pairs, by :func:`_exact_pairs`.
+    ValueError for a zero value; this is the only message the exact check
+    gives."""
+    pairs = _exact_pairs(values)
+    if not all(n for _, n in pairs):
+        raise ValueError("shift values must be nonzero")
     return pairs
 
 
@@ -322,7 +358,10 @@ def build_k(c: Sequence) -> Poly:
     ``shift values must be finite and nonzero`` for a float value that
     is zero, infinite or NaN.  :func:`fgmexp.mldegree.profile` reads its
     values with the same normalizer, so it accepts the same values and
-    raises the same errors.
+    raises the same errors.  A float k with a coefficient that overflows
+    to infinity or NaN, as the elementary symmetric functions of a few
+    hundred sampled shifts do, raises ValueError ``float polynomial
+    coefficients must be finite`` (see :class:`Poly`).
     """
     kind, shifts, _ = _linear_factors(c)
     if kind == FLOAT:
@@ -352,7 +391,10 @@ def build_h(c: Sequence) -> Poly:
 
     Constructed as the formal derivative of :func:`build_k`, which is the
     same polynomial in O(n^2) scalar operations instead of O(n^3).  The
-    degree is exactly n-1 and the leading coefficient is n.
+    degree is exactly n-1 and the leading coefficient is n.  It takes
+    the values and raises the errors of :func:`build_k`; a float h also
+    raises ValueError ``float polynomial coefficients must be finite``
+    when a coefficient of k or of its derivative is not finite.
     """
     return build_k(c).derivative()
 
@@ -571,14 +613,17 @@ def root_multiplicity(p: Poly, r) -> int:
     division gives the quotient and the remainder, and stops early at a
     step that does not divide exactly; each exact pass deflates ``p``
     once.  Integer arithmetic only, zero tolerance.
+
+    ``r`` is read as :meth:`Poly.eval` reads a rational point: anything
+    but a rational scalar, a float or a string among them, is
+    ScalarModeError.  Raises ScalarModeError for a float polynomial and
+    ValueError for the zero polynomial.
     """
     if p.kind != RATIONAL:
         raise ScalarModeError("exact multiplicity requires a rational polynomial")
     if p.is_zero:
         raise ValueError("every point is a root of the zero polynomial")
-    r = Fraction(r)
-    # int() turns a numpy integer into a Python one, which does not wrap
-    s, t = int(r.numerator), int(r.denominator)
+    t, s = _rational_point(r)
     coeffs = p._vector[::-1]
     count = 0
     while len(coeffs) > 1:

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +53,31 @@ class TestSample:
             main(["sample", "--n", "0", "--theta", "0", "--seed", "1", "--out", str(tmp_path / "x.csv")])
         assert err.value.code == 2
 
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "s.csv"
+        assert main(["sample", "--n", "3", "--theta", "0.3", "--seed", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
+# every row at x = ln 2 has weight 0, and a header alone has no rows
+DEGENERATE_ROWS = f"{math.log(2.0)!r},1.0\n{math.log(2.0)!r},2.5\n"
+NO_DATA = {
+    "fit": "error: all observations have zero weight; the likelihood is flat in theta "
+           "and no MLE exists\n",
+    "mldegree": "error: no usable observations (all weights are zero)\n",
+}
+
+
+def check_no_usable_rows(tmp_path, capsys, sub, rows):
+    path = tmp_path / "none.csv"
+    path.write_text("x,y\n" + rows)
+    assert main([sub, "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == NO_DATA[sub]
+
 
 class TestFit:
     def test_symmetric_weights_fit_zero(self, tmp_path, capsys):
@@ -65,15 +91,10 @@ class TestFit:
         assert set(doc) == {"theta_hat", "loglik", "at_boundary", "n_effective", "dropped"}
 
     def test_all_degenerate_rows_exit_3(self, tmp_path, capsys):
-        path = tmp_path / "deg.csv"
-        ln2 = repr(math.log(2.0))
-        path.write_text(f"x,y\n{ln2},1.0\n{ln2},2.5\n")
-        assert main(["fit", "--in", str(path)]) == 3
+        check_no_usable_rows(tmp_path, capsys, "fit", DEGENERATE_ROWS)
 
-    def test_empty_after_header_exit_3(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("x,y\n")
-        assert main(["fit", "--in", str(path)]) == 3
+    def test_empty_after_header_exit_3(self, tmp_path, capsys):
+        check_no_usable_rows(tmp_path, capsys, "fit", "")
 
     def test_malformed_row_exit_2_with_line_number(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -98,6 +119,11 @@ class TestFit:
             code, doc = run_cli(capsys, "fit", "--in", str(path))
             assert code == 0
             assert -1.0 <= doc["theta_hat"] <= 1.0
+
+
+@pytest.mark.parametrize("rows", [DEGENERATE_ROWS, ""], ids=["all degenerate rows", "empty after header"])
+def test_mldegree_no_usable_rows_exit_3(tmp_path, capsys, rows):
+    check_no_usable_rows(tmp_path, capsys, "mldegree", rows)
 
 
 @pytest.mark.parametrize("sub", ["fit", "mldegree"])
@@ -327,35 +353,22 @@ class TestVerify:
         )
 
 
-def _sample(n="3", theta="0.3", seed="1"):
-    return ["sample", "--n", n, "--theta", theta, "--seed", seed]
-
-
-# each argv breaks the rule of the one argument named beside it
+# each line of the table: the option whose rule the call breaks, then the
+# call's arguments; the CI workflow runs the same table through the
+# console script
 BAD_ARGUMENTS = [
-    ("--n", _sample(n="0")),
-    ("--n", _sample(n="abc")),
-    ("--theta", _sample(theta="2")),
-    ("--theta", _sample(theta="abc")),
-    ("--seed", _sample(seed="-1")),
-    ("--trials", ["verify", "--trials", "0"]),
-    ("--trials", ["verify", "--trials", "1.5"]),
-    ("--n-max", ["verify", "--n-max", "1"]),
-    ("--pattern", ["verify", "--pattern", "1"]),
-    ("--pattern", ["verify", "--pattern", "2,x"]),
-    ("--c", ["mldegree", "--c", "x/y"]),
-    ("--c", ["mldegree", "--c", "1/0"]),
-    ("--c", ["mldegree", "--c", "0", "1"]),
-    ("--c", ["mldegree", "--c", "1/2", "0"]),
+    (words[0], words[1:])
+    for words in map(str.split, (Path(__file__).parent / "bad_arguments.txt").read_text().splitlines())
+    if words and not words[0].startswith("#")
 ]
 
 
 @pytest.mark.parametrize("option,argv", BAD_ARGUMENTS,
                          ids=[" ".join(argv) for _, argv in BAD_ARGUMENTS])
-def test_bad_argument_is_a_usage_error(tmp_path, capsys, option, argv):
-    out = tmp_path / "never.csv"
+def test_bad_argument_is_a_usage_error(tmp_path, monkeypatch, capsys, option, argv):
+    monkeypatch.chdir(tmp_path)
     if argv[0] == "sample":
-        argv = argv + ["--out", str(out)]
+        argv = argv + ["--out", "never.csv"]
     with pytest.raises(SystemExit) as err:
         main(argv)
     captured = capsys.readouterr()
@@ -363,13 +376,14 @@ def test_bad_argument_is_a_usage_error(tmp_path, capsys, option, argv):
     assert captured.out == ""
     assert captured.err.startswith(f"usage: fgmexp {argv[0]} ")
     assert f"error: argument {option}: " in captured.err
-    assert not out.exists()
+    assert not any(tmp_path.iterdir())
 
 
-def test_sample_size_past_the_model_bound_is_a_usage_error(tmp_path, capsys):
-    # rejected before anything is drawn, so nothing is allocated
-    for n in (model._MAX_SAMPLE_SIZE + 1, 10**30):
-        test_bad_argument_is_a_usage_error(tmp_path, capsys, "--n", _sample(n=str(n)))
+def test_sample_size_past_the_model_bound_is_a_usage_error():
+    # the table holds the first size the model refuses, and one far past
+    # it; both are rejected before anything is drawn
+    sizes = {argv[2] for option, argv in BAD_ARGUMENTS if option == "--n"}
+    assert {str(model._MAX_SAMPLE_SIZE + 1), str(10**30)} <= sizes
 
 
 class TestOutputModes:

@@ -33,7 +33,7 @@ from fgmexp.model import (
     score_weights,
     validate_theta,
 )
-from fgmexp.polynomials import ScalarModeError, build_k
+from fgmexp.polynomials import Poly, ScalarModeError, build_k, root_multiplicity
 from fgmexp.roots import score_root_from_weights
 
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
@@ -56,6 +56,11 @@ MESSAGES = [
     r"score undefined at theta=.*",
     r"association parameter must be a real number in \[-1, 1\], got .*",
     r"(sample size|seed|trials|n_max) must be an integer >= \d+, got .*",
+    r"sample size must be at most \d+, got .*",
+    r"coefficients of a (rational|float) polynomial must be one-dimensional and all \1",
+    r"float polynomial coefficients must be finite",
+    r"points of a rational polynomial must be rational",
+    r"every point is a root of the zero polynomial",
 ]
 DOCUMENTED = (ValueError, ScalarModeError, PoleError)
 
@@ -210,10 +215,28 @@ def canonical_theta(theta):
     return None
 
 
-def canonical_int(value, low):
-    if isinstance(value, (int, np.integer)) and value >= low:
+def canonical_coeffs(values, kind):
+    """Coefficients as :func:`canonical_shifts` makes them, when they are
+    of the polynomial's ``kind``; no values fit either kind."""
+    coeffs = canonical_shifts(values)
+    if coeffs is None or (len(coeffs) and isinstance(coeffs, np.ndarray) != (kind == "float")):
+        return None
+    return coeffs
+
+
+def canonical_point(value):
+    """A point of a rational polynomial as a Fraction of Python ints."""
+    return exact(value) if isinstance(value, RATIONAL) else None
+
+
+def canonical_int(value, low, high=float("inf")):
+    if isinstance(value, (int, np.integer)) and low <= value <= high:
         return int(value)
     return None
+
+
+# the bound on a sample size, from the README's table
+MAX_SAMPLE_SIZE = 2**59 - 1
 
 
 shift_inputs = st.one_of(sequences([rational_values]), sequences([float_values]),
@@ -286,11 +309,45 @@ def test_validate_theta(theta):
     check(validate_theta, [theta], None if t is None else [t])
 
 
+# sizes past the bound, which are refused before anything is allocated
+too_large_sizes = st.integers(MAX_SAMPLE_SIZE + 1, 10**30) | st.sampled_from(
+    [np.int64(MAX_SAMPLE_SIZE + 1), np.int64(2**63 - 1), np.uint64(2**64 - 1)])
+
+
 @SETTINGS
-@given(n=int_values(1, 12), theta=theta_values, seed=st.one_of(int_values(0, 2**40), huge_ints))
+@given(n=int_values(1, 12) | too_large_sizes, theta=theta_values,
+       seed=st.one_of(int_values(0, 2**40), huge_ints))
 def test_sample(n, theta, seed):
-    args = [canonical_int(n, 1), canonical_theta(theta), canonical_int(seed, 0)]
+    args = [canonical_int(n, 1, MAX_SAMPLE_SIZE), canonical_theta(theta), canonical_int(seed, 0)]
     check(sample, [n, theta, seed], None if None in args else args)
+
+
+@pytest.mark.parametrize("kind", ["rational", "float"])
+@SETTINGS
+@given(raw=shift_inputs)
+def test_poly_coefficients(kind, raw):
+    arg, values = split(raw)
+    canonical = canonical_coeffs(values, kind)
+    check(Poly, [arg, kind], None if canonical is None else [canonical, kind])
+
+
+def times_linear(coeffs, r):
+    """The ascending coefficients of (theta - r) times those given."""
+    return [-r * a + b for a, b in zip([*coeffs, 0], [0, *coeffs])]
+
+
+@pytest.mark.parametrize("entry_point", [Poly.eval, root_multiplicity],
+                         ids=["Poly.eval", "root_multiplicity"])
+@SETTINGS
+@given(coeffs=st.lists(st.fractions(max_denominator=50), max_size=4),
+       point=st.one_of(rational_values, float_values, bad_values), repeats=st.integers(0, 3))
+def test_rational_points(entry_point, coeffs, point, repeats):
+    # a rational point is a root of p that many times more
+    r = canonical_point(point)
+    for _ in range(repeats if r is not None else 0):
+        coeffs = times_linear(coeffs, r)
+    p = Poly(coeffs)
+    check(entry_point, [p, point], None if r is None else [p, r])
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,8 +361,12 @@ def test_run_campaign(trials, n_max, seed):
 
 @given(st.lists(st.booleans(), max_size=6))
 def test_bool_list_and_bool_array_agree(bools):
-    for entry_point in (profile, build_k, ml_degree_algebraic, ml_degree_report):
+    for entry_point in (profile, build_k, ml_degree_algebraic, ml_degree_report, Poly):
         assert outcome(entry_point, bools) == outcome(entry_point, np.array(bools, dtype=bool))
+    p = Poly([-1, 1])
+    for b in bools:
+        for entry_point in (Poly.eval, root_multiplicity):
+            assert outcome(entry_point, p, b) == outcome(entry_point, p, np.bool_(b))
 
 
 def test_fraction_of_numpy_integers_is_exact():
@@ -320,6 +381,21 @@ def test_fraction_of_numpy_integers_is_exact():
         doc = ml_degree_report(c)
     assert doc == ml_degree_report(ints)
     assert doc["oracle"] == {"formula": 5, "algebraic": 5, "agree": True}
+
+
+def test_numpy_integer_fractions_as_coefficients_and_points():
+    # 2**62 times 2**20 wraps in int64; the parts must enter as ints
+    big = Fraction(np.int64(2**62), np.int64(1))
+    small = Fraction(np.int64(1), np.int64(2**20))
+    point = Fraction(np.int64(2**40), np.int64(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert Poly([big, small]) == Poly([Fraction(2**62), Fraction(1, 2**20)])
+        value = Poly([1, 1, 1]).eval(point)
+        k = build_k([-point, -point, 5])
+        assert root_multiplicity(k, point) == 2
+    assert value == Poly([1, 1, 1]).eval(Fraction(2**40, 3))
+    assert type(value.numerator) is int
 
 
 @pytest.mark.parametrize("call", [
@@ -337,12 +413,24 @@ def test_fraction_of_numpy_integers_is_exact():
     lambda: validate_theta(10**400),
     # a bool is an int, so bools and floats are a mixture
     lambda: profile([True, 0.5]),
+    lambda: Poly([0.5, 1]),
+    lambda: Poly(["1/3", 1]),
+    lambda: Poly(np.array([1.5, 2.5])),
+    lambda: Poly([1, 2], "float"),
+    lambda: root_multiplicity(build_k([Fraction(1, 2), Fraction(1, 2), Fraction(3)]), -0.5),
+    lambda: root_multiplicity(build_k([Fraction(1, 2), Fraction(1, 2), Fraction(3)]), "-1/2"),
+    lambda: Poly([1, 1]).eval(0.5),
+    lambda: Poly([1.0, float("inf")], "float"),
+    lambda: sample(2**59, 0.3, 1),
 ], ids=[
     "profile of strings", "profile of a huge int and a float",
     "profile of a tiny Fraction and a float", "profile of a 2-D array", "report of a 2-D array",
     "fit of a 2-D array", "fit of strings", "sample of a float size", "sample with no seed",
     "log-likelihood at a string theta", "campaign of a float trial count", "theta a huge int",
-    "profile of a bool and a float",
+    "profile of a bool and a float", "rational Poly of a float", "rational Poly of a string",
+    "rational Poly of a float array", "float Poly of ints", "multiplicity at a float",
+    "multiplicity at a string", "rational Poly at a float", "float Poly of an infinity",
+    "sample of a size past the bound",
 ])
 def test_probe_gets_a_package_error(call):
     check(call, [], None)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgmexp import polynomials
+from fgmexp.model import c_shift, sample
 from fgmexp.polynomials import (
     FLOAT,
     Poly,
@@ -155,6 +156,16 @@ class TestPoly:
         with pytest.raises(ScalarModeError):
             Poly((1.0, 1.0), FLOAT).eval(F(1, 2))
 
+    @pytest.mark.parametrize("build", [
+        lambda: Poly((1.0, math.inf), FLOAT),
+        lambda: Poly((math.nan,), FLOAT),
+        lambda: Poly((0.0, 0.0, 1e308), FLOAT).derivative(),
+        lambda: Poly((1e308, 1e-10), FLOAT).monic(),
+    ], ids=["infinite", "nan", "derivative overflows", "monic overflows"])
+    def test_float_coefficients_must_be_finite(self, build):
+        with pytest.raises(ValueError, match="^float polynomial coefficients must be finite$"):
+            build()
+
     def test_derivative_examples(self):
         assert Poly((F(-8), F(-2), F(1))).derivative().coeffs == (F(-2), F(2))
         assert Poly((F(7),)).derivative().is_zero
@@ -197,6 +208,14 @@ class TestBuildK:
         for n in (1, 2, 17, 150, 400):
             c = list(1.0 / rng.uniform(-1.0, 1.0, size=n))
             assert float_bits(build_k(c).coeffs) == float_bits(loop_build_k(c, 1.0))
+
+    def test_float_overflow_at_n_400_is_a_value_error(self):
+        # the elementary symmetric functions of 400 sampled shifts pass
+        # the float limit: 158 of k's 401 coefficients would be infinite
+        c = c_shift(sample(400, 0.3, 1)).values
+        for build in (build_k, build_h):
+            with pytest.raises(ValueError, match="^float polynomial coefficients must be finite$"):
+                build(c)
 
     def test_numpy_integers_do_not_wrap(self):
         # int64 products of 10**6 wrap past 2**63; the exact build must not
