@@ -95,7 +95,7 @@ def _integer(value, low: int, name: str, high: int | None = None) -> int:
     return int(value)
 
 
-# The largest sample size: sample draws 2n 8-byte uniforms in one array,
+# The largest sample size: sample holds its 2n 8-byte draws in one array,
 # whose size in bytes numpy holds in its signed index type.
 _MAX_SAMPLE_SIZE = np.iinfo(np.intp).max // 16
 
@@ -134,16 +134,32 @@ def _check_point(x: float, y: float) -> None:
         raise ValueError(f"coordinates must be nonnegative, got ({x}, {y})")
 
 
-def _weights(x, y) -> np.ndarray:
-    """w = (2 exp(-x) - 1)(2 exp(-y) - 1), elementwise: the factors in
-    place in one (2, ...) float64 copy of the coordinates, so every stage
-    runs once over both, then the product of its two rows."""
-    f = np.array((x, y), dtype=float)
-    np.negative(f, out=f)
-    np.exp(f, out=f)
-    f *= 2.0
-    f -= 1.0
-    return f[0] * f[1]
+# Points per block of the elementwise stages of sample and of the
+# weights, so that their temporaries stay one block long at any n.
+_BLOCK_ROWS = 1 << 15
+
+
+def _weights(xy: np.ndarray) -> np.ndarray:
+    """w = (2 exp(-x) - 1)(2 exp(-y) - 1) of the rows x and y of the
+    (2, n) float64 array ``xy``, ``_BLOCK_ROWS`` points at a time: the
+    block's factors in place in one (2, block) buffer, so every stage
+    runs once over both rows, then their product into the block of w."""
+    w = np.empty(xy.shape[1])
+    for i in range(0, len(w), _BLOCK_ROWS):
+        f = np.negative(xy[:, i:i + _BLOCK_ROWS])
+        np.exp(f, out=f)
+        f *= 2.0
+        f -= 1.0
+        np.multiply(f[0], f[1], out=w[i:i + _BLOCK_ROWS])
+    return w
+
+
+def _all_valid(xy: np.ndarray) -> bool:
+    """Whether every coordinate in ``xy`` is finite and nonnegative, by
+    two reductions: a NaN fails the minimum's test, an infinity the
+    maximum's."""
+    return bool(np.minimum.reduce(xy, axis=None, initial=math.inf) >= 0.0
+                and np.maximum.reduce(xy, axis=None, initial=0.0) < math.inf)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -152,11 +168,14 @@ class Dataset:
     one frozen (2, n) float64 array, and the per-observation weights
     derived from them.
 
-    Build one with :meth:`from_arrays`.  Weights are recomputed from the
-    coordinates at construction and every array is read-only, so they
-    can never drift out of sync.  Points whose weight is exactly zero (a
-    coordinate at ln 2) contribute nothing to the score and are tracked
-    in ``degenerate_indices``.  Two datasets are equal when their
+    Build one with :meth:`from_arrays`, which copies the coordinates;
+    :func:`sample` and :func:`read_csv` hand over the (2, n) array they
+    filled, which is kept without a copy.  Weights are recomputed from
+    the coordinates at construction, a block of points at a time, and
+    every array is read-only, so they can never drift out of sync.
+    Points whose weight is exactly zero (a coordinate at ln 2)
+    contribute nothing to the score and are tracked in
+    ``degenerate_indices``.  Two datasets are equal when their
     coordinates are.
     """
 
@@ -199,13 +218,18 @@ class Dataset:
             if x.ndim != 1 or y.ndim != 1:
                 raise ValueError("x and y must be one-dimensional")
             raise ValueError("x and y must have equal length")
-        if not (
-            np.minimum.reduce(xy, axis=None, initial=math.inf) >= 0.0
-            and np.maximum.reduce(xy, axis=None, initial=0.0) < math.inf
-        ):
+        return cls._adopt(xy)
+
+    @classmethod
+    def _adopt(cls, xy: np.ndarray) -> "Dataset":
+        """The dataset whose rows are those of the C-contiguous (2, n)
+        float64 array ``xy``, which the caller hands over: it is made
+        read-only and kept without a copy.  The checks and messages are
+        those of :meth:`from_arrays`."""
+        if not _all_valid(xy):
             i = int(np.flatnonzero(~((xy >= 0.0) & (xy < math.inf)).all(axis=0))[0])
             _check_point(float(xy[0, i]), float(xy[1, i]))
-        w = _weights(xy[0], xy[1])
+        w = _weights(xy)
         xy.setflags(write=False)
         w.setflags(write=False)
         data = cls.__new__(cls)
@@ -235,7 +259,7 @@ def density(x: float, y: float, theta: float) -> float:
     x, y = float(x), float(y)
     _check_point(x, y)
     t = validate_theta(theta)
-    return math.exp(-(x + y)) * (1.0 + t * float(_weights(x, y)))
+    return math.exp(-(x + y)) * (1.0 + t * float(_weights(np.array([[x], [y]]))[0]))
 
 
 def log_likelihood_weights(weights: np.ndarray, theta: float) -> float:
@@ -311,11 +335,10 @@ def c_shift(data: Dataset) -> CShift:
     return CShift(values, data.degenerate_indices)
 
 
-def _open_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform draws on the open interval (0, 1): both endpoints excluded
-    so downstream logarithms stay finite."""
-    k = rng.integers(1, 1 << 53, size=size)
-    return k * (0.5 ** 53)
+def _open_uniform(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out`` with uniform draws on the open interval (0, 1): both
+    endpoints excluded so downstream logarithms stay finite."""
+    np.multiply(rng.integers(1, 1 << 53, size=out.size), 0.5 ** 53, out=out)
 
 
 def sample(n: int, theta: float, seed: int) -> Dataset:
@@ -327,9 +350,18 @@ def sample(n: int, theta: float, seed: int) -> Dataset:
     quotient is evaluated in rationalized form, 2t / ((1+A) + sqrt(D)),
     which is the same root without subtractive cancellation; below
     |A| = 1e-12 the exact limit v = t is used.  The n values of u and
-    then the n values of t are one draw of 2n open uniforms.  Marginals
-    are standard exponential and results depend only on (n, theta,
-    seed).
+    then the n values of t are the stream of one draw of 2n open
+    uniforms.  Marginals are standard exponential and results depend
+    only on (n, theta, seed).
+
+    The draws fill one (2n,) float64 buffer, which becomes the dataset's
+    (2, n) coordinates without a copy: the first draw takes u and the
+    first ``_BLOCK_ROWS`` values of t, so a sample of at most one block
+    is one draw, and each later block of t is drawn into its place (at
+    this range numpy takes each value from the stream in turn and keeps
+    nothing back between calls, so the bits are those of one draw).  The
+    inversion runs a block at a time, so beyond the dataset ``sample``
+    holds the first draw's integers and one block's temporaries.
 
     ``n`` and ``seed`` are integers (an int, a bool or a numpy integer),
     ``1 <= n <= _MAX_SAMPLE_SIZE`` and ``seed >= 0``, and ``theta`` a
@@ -340,19 +372,25 @@ def sample(n: int, theta: float, seed: int) -> Dataset:
     n = _integer(n, 1, "sample size", _MAX_SAMPLE_SIZE)
     seed = _integer(seed, 0, "seed")
     # the stream of default_rng(seed): the n values of u, then of t
-    draws = _open_uniform(np.random.Generator(np.random.PCG64(seed)), 2 * n)
-    u, tdraw = draws[:n], draws[n:]
-    a = t * (1.0 - 2.0 * u)
-    b = 1.0 + a
-    disc = np.maximum(b ** 2 - 4.0 * a * tdraw, 0.0)
-    v_quad = 2.0 * tdraw / (b + np.sqrt(disc))
-    # v overwrites t where the quadratic is not degenerate
-    np.copyto(tdraw, v_quad, where=np.abs(a) >= _SMALL_DEPENDENCE)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    buf = np.empty(2 * n)
+    _open_uniform(rng, buf[:n + min(n, _BLOCK_ROWS)])
+    for i in range(0, n, _BLOCK_ROWS):
+        j = min(i + _BLOCK_ROWS, n)
+        u, tdraw = buf[i:j], buf[n + i:n + j]
+        if i:
+            _open_uniform(rng, tdraw)
+        a = t * (1.0 - 2.0 * u)
+        b = 1.0 + a
+        disc = np.maximum(b ** 2 - 4.0 * a * tdraw, 0.0)
+        v_quad = 2.0 * tdraw / (b + np.sqrt(disc))
+        # v overwrites t where the quadratic is not degenerate
+        np.copyto(tdraw, v_quad, where=np.abs(a) >= _SMALL_DEPENDENCE)
     # x = -log1p(-u) and y = -log1p(-v), in place over both halves
-    np.negative(draws, out=draws)
-    np.log1p(draws, out=draws)
-    np.negative(draws, out=draws)
-    return Dataset.from_arrays(draws[:n], draws[n:])
+    np.negative(buf, out=buf)
+    np.log1p(buf, out=buf)
+    np.negative(buf, out=buf)
+    return Dataset._adopt(buf.reshape(2, n))
 
 
 def read_csv(path) -> Dataset:
@@ -370,13 +408,20 @@ def read_csv(path) -> Dataset:
     file, or one that numpy's reader or the point check rejects, is
     decoded and read row by row by ``csv.reader``, which gives every
     error its line number.  So beyond the dataset, reading holds the
-    file's bytes and, on the fast path, numpy's (n, 2) array.
+    file's bytes and, on the fast path, numpy's (n, 2) array; the bytes
+    are released before that array is copied into the dataset's rows.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     encoding = locale.getpreferredencoding(False)
-    data = _parse_plain(raw, encoding)
-    return data if data is not None else _parse_csv(_decode(raw, encoding))
+    xy = _parse_plain(raw, encoding)
+    if xy is None:
+        return _parse_csv(_decode(raw, encoding))
+    # the bytes go before the copy into (2, n) rows, and numpy's array as
+    # the copy takes its name, so at most two of the three are held
+    del raw
+    xy = xy.T.copy()
+    return Dataset._adopt(xy)
 
 
 def _decode(raw: bytes, encoding: str) -> str:
@@ -392,27 +437,38 @@ def _decode(raw: bytes, encoding: str) -> str:
         ) from None
 
 
-# Each byte's kind for the fast path: "a" for a byte of a field in
-# write_csv's alphabet (a float repr's characters, the header's letters,
-# and the spaces and tabs a hand edit may add), "," for the comma and the
-# line endings, which end a field, and "?" for any other byte.
-_BYTE_KINDS = b"".join(b"a" if b in b"0123456789.eE+-xy \t" else b"," if b in b",\r\n" else b"?"
-                       for b in range(256))
+# write_csv's alphabet: a float repr's characters, the header's letters,
+# the spaces and tabs a hand edit may add, the comma and the line endings.
+_PLAIN_BYTES = b"0123456789.eE+-xy \t,\r\n"
+
+# Each byte as the field-run scan sees it: "," for the comma and the line
+# endings, which end a field, and "a" for any other byte.
+_FIELD_RUNS = bytes(ord(",") if b in b",\r\n" else ord("a") for b in range(256))
+
+# Bytes per window of the field-run scan, which holds two copies of one
+# window (and the run it may end in) at a time.
+_SCAN_WINDOW = 1 << 18
 
 
-def _parse_plain(raw: bytes, encoding: str) -> Dataset | None:
-    """The dataset ``np.loadtxt`` reads from ``raw``, or None, for
-    :func:`_parse_csv` to read the whole file.
+def _parse_plain(raw: bytes, encoding: str) -> np.ndarray | None:
+    """The (n, 2) float64 array ``np.loadtxt`` reads from ``raw``, every
+    point finite and nonnegative, or None, for :func:`_parse_csv` to read
+    the whole file.
 
-    numpy gets the bytes only when all of them are in :func:`write_csv`'s
-    alphabet (``0123456789.eE+-xy``, comma, space, tab, CR and LF), no
-    run of field bytes (all but the comma, CR and LF) is longer than
-    ``csv.field_size_limit()``, the header, up to the first line feed,
-    has no carriage return before its line ending and cells that strip
-    to ``x`` and ``y``, and a comma follows it, so numpy sees a row and
-    never warns of an empty file.  Every file :func:`write_csv` writes
-    qualifies.  A ValueError from numpy or :meth:`Dataset.from_arrays`,
-    or rows of other than two columns, give None.
+    numpy gets the bytes only when the header, up to the first line
+    feed, has no carriage return before its line ending and cells that
+    strip to ``x`` and ``y``, a comma follows it, so numpy sees a row and
+    never warns of an empty file, all bytes are in :func:`write_csv`'s
+    alphabet (``0123456789.eE+-xy``, comma, space, tab, CR and LF), and
+    no run of field bytes (all but the comma, CR and LF) is longer than
+    ``csv.field_size_limit()``.  Every file :func:`write_csv` writes
+    qualifies.  A ValueError from numpy, rows of other than two columns,
+    or a point that is negative or not finite give None.  No check
+    holds a copy of the file: the alphabet test deletes the alphabet's
+    bytes, which leaves nothing to write for a file that passes (CPython
+    reserves a result as long as the input, but no page of it is
+    touched), and the field runs are scanned in overlapping windows of
+    ``_SCAN_WINDOW`` bytes plus the limit.
 
     Why both parsers agree when numpy succeeds: the alphabet has no
     quote, no underscore, no non-ASCII digit and no whitespace but the
@@ -427,20 +483,28 @@ def _parse_plain(raw: bytes, encoding: str) -> Dataset | None:
     count of columns.  A field ``csv.reader`` rejects as over its size
     limit is a run of field bytes that long, which the gate turns away.
     """
-    kinds, limit = raw.translate(_BYTE_KINDS), csv.field_size_limit()
-    end = raw.find(b"\n")
+    end, limit = raw.find(b"\n"), csv.field_size_limit()
     header = raw[:end].removesuffix(b"\r")
-    if (end < 0 or b"?" in kinds or (limit < len(raw) and b"a" * (limit + 1) in kinds)
-            or b"\r" in header or [cell.strip() for cell in header.split(b",")] != [b"x", b"y"]
-            or raw.find(b",", end) < 0):
+    if (end < 0 or b"\r" in header or [cell.strip() for cell in header.split(b",")] != [b"x", b"y"]
+            or raw.find(b",", end) < 0 or raw.translate(None, _PLAIN_BYTES)
+            or (limit < len(raw) and _long_field(raw, limit))):
         return None
-    del kinds  # a copy of the file, freed before numpy reads it
     try:
         xy = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=1, ndmin=2,
                         comments=None, encoding=encoding)
-        return Dataset.from_arrays(xy[:, 0], xy[:, 1]) if xy.shape[1] == 2 else None
     except ValueError:
         return None
+    return xy if xy.shape[1] == 2 and _all_valid(xy) else None
+
+
+def _long_field(raw: bytes, limit: int) -> bool:
+    """Whether some run of field bytes in ``raw`` is longer than
+    ``limit``.  Each window starts ``_SCAN_WINDOW`` bytes after the last
+    and runs ``limit`` bytes past the next start, so a run of ``limit + 1``
+    bytes lies whole in the window where it starts."""
+    run = b"a" * (limit + 1)
+    return any(run in raw[i:i + _SCAN_WINDOW + limit].translate(_FIELD_RUNS)
+               for i in range(0, len(raw), _SCAN_WINDOW))
 
 
 def _parse_csv(text: str) -> Dataset:
@@ -483,8 +547,10 @@ def _csv_rows(text: str):
         raise DataFormatError(reader.line_num, str(exc)) from None
 
 
-# Rows per block that write_csv formats and writes at once.
-_WRITE_BLOCK_ROWS = 1 << 15
+# Rows per block that write_csv formats and writes at once: a block's
+# floats and row strings take about 150 bytes a row, so well under a
+# megabyte, and the calls per block are a small share of the formatting.
+_WRITE_BLOCK_ROWS = 1 << 12
 
 
 def write_csv(path, data: Dataset) -> None:

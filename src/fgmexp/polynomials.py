@@ -20,7 +20,8 @@ The shift values c_i are read and checked here, for :func:`build_k`,
 and the CLI alike.  Their kind is decided once, by :func:`scalar_kind`:
 a one-dimensional sequence whose values are all rational or all float;
 anything else, a mixture, a string, None, a complex value or a 2-D
-array among them, is :class:`ScalarModeError`.  Then one check per kind:
+array among them, or an array of a dtype of neither kind, is
+:class:`ScalarModeError`.  Then one check per kind:
 there must be at least one value, an exact value must be nonzero, and a
 float value finite and nonzero.
 
@@ -87,6 +88,9 @@ Scalar = Union[Fraction, float]
 # numpy's bool counts as one too, so a list of bools and a bool array agree.
 _RATIONAL_TYPES = (Fraction, int, np.integer, np.bool_)
 
+# The kind of a one-dimensional ndarray by its dtype's kind code.
+_DTYPE_KINDS = {"b": RATIONAL, "i": RATIONAL, "u": RATIONAL, "f": FLOAT}
+
 
 class ScalarModeError(TypeError):
     """An operation received scalars of the wrong or mixed kind."""
@@ -97,12 +101,15 @@ def scalar_kind(values: Sequence) -> str | None:
     Fraction, an int, a bool or a numpy integer or bool, :data:`FLOAT`
     when every value is a float or a numpy float, None otherwise (a
     mixture, or a value of neither kind).  An ndarray of one dimension
-    and a bool, integer or float dtype is decided by its dtype; one of
-    another dimension has no kind."""
-    if isinstance(values, np.ndarray) and values.ndim != 1:
-        return None
-    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
-        return FLOAT if values.dtype.kind == "f" else RATIONAL
+    is decided by its dtype: bool and integer are rational, float is
+    float, object is decided by its values, and any other dtype has no
+    kind, even when the array is empty; an ndarray of another dimension
+    has no kind."""
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            return None
+        if values.dtype.kind != "O":
+            return _DTYPE_KINDS.get(values.dtype.kind)
     # one pass at C speed; the Python test runs once per distinct type
     types = set(map(type, values))
     if all(issubclass(t, _RATIONAL_TYPES) for t in types):
@@ -200,8 +207,11 @@ class Poly:
         The point must match the scalar kind.  A rational polynomial takes
         a rational point, read as exactly as its coefficients, and gives a
         Fraction; anything else is ScalarModeError ``points of a rational
-        polynomial must be rational``.  A float polynomial takes a real or
-        complex point (reals widen to complex).
+        polynomial must be rational``.  A float polynomial takes a float,
+        an int or a bool (a numpy integer or bool counts as an int, as in
+        :func:`scalar_kind`) or a complex point (reals widen to complex),
+        but not a Fraction; anything else is ScalarModeError ``cannot
+        evaluate float polynomial at <type>``.
         """
         if self.kind == RATIONAL:
             # Horner's rule on d**deg p(n/d): each step multiplies by n,
@@ -211,7 +221,9 @@ class Poly:
             for x in reversed(self._vector):
                 acc, power = acc * n + x * power, power * d
             return self._scale * Fraction(acc * d, power)
-        if not isinstance(t, (float, complex, int, np.floating, np.complexfloating)):
+        if isinstance(t, (np.integer, np.bool_)):
+            t = int(t)
+        elif not isinstance(t, (float, complex, int, np.floating, np.complexfloating)):
             raise ScalarModeError(f"cannot evaluate float polynomial at {type(t).__name__}")
         acc = 0.0
         for c in reversed(self._vector):

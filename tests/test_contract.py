@@ -60,6 +60,7 @@ MESSAGES = [
     r"coefficients of a (rational|float) polynomial must be one-dimensional and all \1",
     r"float polynomial coefficients must be finite",
     r"points of a rational polynomial must be rational",
+    r"cannot evaluate float polynomial at \w+",
     r"every point is a root of the zero polynomial",
 ]
 DOCUMENTED = (ValueError, ScalarModeError, PoleError)
@@ -180,10 +181,11 @@ def canonical_shifts(values):
     """All-rational values as Fractions of Python ints, all-float values
     as a float64 array, in one dimension; None for anything else.  An
     array of a bool, integer or float dtype has the kind of its dtype,
-    even when it is empty."""
+    and one of any other dtype but object has no kind, even when it is
+    empty."""
     kind = None
     if isinstance(values, np.ndarray):
-        if values.ndim != 1:
+        if values.ndim != 1 or values.dtype.kind not in "biufO":
             return None
         kind = {"b": RATIONAL, "i": RATIONAL, "u": RATIONAL, "f": FLOAT}.get(values.dtype.kind)
     values = list(values)
@@ -227,6 +229,15 @@ def canonical_coeffs(values, kind):
 def canonical_point(value):
     """A point of a rational polynomial as a Fraction of Python ints."""
     return exact(value) if isinstance(value, RATIONAL) else None
+
+
+def canonical_float_point(value):
+    """A point of a float polynomial: a Python int for an integer or a
+    bool of any type, a float or complex value as it is; None for a
+    Fraction and anything else."""
+    if isinstance(value, (int, np.integer, np.bool_)):
+        return int(value)
+    return value if isinstance(value, (FLOAT, complex, np.complexfloating)) else None
 
 
 def canonical_int(value, low, high=float("inf")):
@@ -350,6 +361,15 @@ def test_rational_points(entry_point, coeffs, point, repeats):
     check(entry_point, [p, point], None if r is None else [p, r])
 
 
+@SETTINGS
+@given(coeffs=st.lists(st.floats(-1e3, 1e3), max_size=4),
+       point=st.one_of(rational_values, float_values, bad_values))
+def test_float_points(coeffs, point):
+    p = Poly(coeffs, "float")
+    t = canonical_float_point(point)
+    check(Poly.eval, [p, point], None if t is None else [p, t])
+
+
 @settings(max_examples=60, deadline=None)
 @given(trials=int_values(1, 2), n_max=int_values(2, 6), seed=st.integers(0, 2**31))
 def test_run_campaign(trials, n_max, seed):
@@ -363,10 +383,23 @@ def test_run_campaign(trials, n_max, seed):
 def test_bool_list_and_bool_array_agree(bools):
     for entry_point in (profile, build_k, ml_degree_algebraic, ml_degree_report, Poly):
         assert outcome(entry_point, bools) == outcome(entry_point, np.array(bools, dtype=bool))
-    p = Poly([-1, 1])
+    p, q = Poly([-1, 1]), Poly([-1.0, 1.0], "float")
     for b in bools:
         for entry_point in (Poly.eval, root_multiplicity):
             assert outcome(entry_point, p, b) == outcome(entry_point, p, np.bool_(b))
+        assert outcome(q.eval, b) == outcome(q.eval, np.bool_(b))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_k(np.array([], dtype="U3")),
+    lambda: profile(np.array([], dtype=complex)),
+    lambda: Poly(np.array([], dtype=complex)),
+    lambda: Poly(np.array([], dtype="U3"), "float"),
+], ids=["build_k", "profile", "rational Poly", "float Poly"])
+def test_empty_array_of_neither_kind_has_no_kind(call):
+    # its dtype decides, so no values do not make it rational
+    with pytest.raises(ScalarModeError):
+        call()
 
 
 def test_fraction_of_numpy_integers_is_exact():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -148,7 +149,7 @@ class TestDataset:
         ds = Dataset.from_arrays(np.array(x), np.array(y))
         assert ds.x.tobytes() == np.array(x, dtype=float).tobytes()
         assert ds.y.tobytes() == np.array(y, dtype=float).tobytes()
-        w = model._weights(np.array(x, dtype=float), np.array(y, dtype=float)).tolist()
+        w = model._weights(np.array([x, y], dtype=float)).tolist()
         assert ds.weights.tolist() == w
         assert ds.degenerate_indices == tuple(i for i, v in enumerate(w) if v == 0.0)
 
@@ -405,3 +406,25 @@ class TestCsvRoundTrip:
         path = tmp_path / "empty.csv"
         path.write_text("x,y\n")
         assert read_csv(path).n == 0
+
+
+def test_sample_and_write_csv_hold_little_beyond_the_dataset(tmp_path):
+    # sample fills the dataset's own buffer and forms the weights a block
+    # at a time; write_csv formats a block of rows at a time.  The dataset
+    # is 24 bytes a row (x, y and the weights)
+    n = 100_000
+    sample(10, 0.3, 1)  # first-call set-up, outside the measurement
+    if tracemalloc.is_tracing():
+        pytest.skip("the process is already tracing its allocations")
+    tracemalloc.start()
+    try:
+        data = sample(n, 0.3, 42)
+        sampled = tracemalloc.get_traced_memory()[1] / n
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        write_csv(tmp_path / "data.csv", data)
+        written = (tracemalloc.get_traced_memory()[1] - held) / n
+    finally:
+        tracemalloc.stop()
+    assert sampled <= 40, f"sample peaked at {sampled:.1f} bytes per row"
+    assert written <= 10, f"write_csv peaked at {written:.1f} bytes per row beyond the dataset"

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgmexp import roots
+from fgmexp import model, roots
 from fgmexp.mle import NoDataError, fit, fit_from_weights
 from fgmexp.model import Dataset, density, sample
 
@@ -116,8 +116,10 @@ def test_tied_and_pole_bits():
 
 
 # lengths around numpy's 8192-element buffer, where a reduction or an
-# elementwise loop is split into chunks
-LONG = (8191, 8192, 8193)
+# elementwise loop is split into chunks, and around the block of points in
+# which sample draws and inverts and the weights are formed
+B = model._BLOCK_ROWS
+LONG = (8191, 8192, 8193, B - 1, B, B + 1, 2 * B + 3)
 
 
 def _same_bits(got, want):

@@ -1,8 +1,9 @@
 """The bulk ``read_csv`` parse against the ``csv.reader`` parse.
 
 ``model._parse_plain`` hands a file in ``write_csv``'s alphabet to
-``np.loadtxt`` and declines (returns None) every other file, and every
-file numpy's reader or the point check rejects; ``model._parse_csv``
+``np.loadtxt``, returning its checked (n, 2) array, and declines
+(returns None) every other file, and every file numpy's reader or the
+point check rejects; ``model._parse_csv``
 then reads it row by row.  Whenever the bulk parse
 accepts a file, both must give bit-identical columns; and ``read_csv``
 as a whole must behave exactly like the row-by-row reader it replaced,
@@ -131,8 +132,10 @@ def check_file(path, text: str, block_chars: int | None = None) -> bool:
 
 
 def parse_plain(text: str):
-    """The bulk parse of ``text`` as the file ``check_file`` writes."""
-    return model._parse_plain(text.encode("utf-8"), locale.getpreferredencoding(False))
+    """The bulk parse of ``text`` as the file ``check_file`` writes, as a
+    dataset of its (n, 2) array's columns, or None."""
+    xy = model._parse_plain(text.encode("utf-8"), locale.getpreferredencoding(False))
+    return None if xy is None else Dataset.from_arrays(xy[:, 0], xy[:, 1])
 
 
 # the longest field csv.reader takes
