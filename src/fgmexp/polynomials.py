@@ -1,19 +1,12 @@
-"""Univariate polynomials over exact rationals or floats.
+"""Univariate polynomials over the exact rationals.
 
 The cleared score equation of the model is a ratio of two polynomials in
 the association parameter: a denominator that is the product of the
 linear factors (theta + c_i), and a numerator that is its formal
 derivative.  This module builds both, and provides the polynomial
 arithmetic (evaluation, derivative, exact gcd, multiplicity) that the
-ML-degree computations rest on.
-
-Two scalar kinds are supported and never mixed silently:
-
-* ``"rational"`` -- arbitrary-precision ``fractions.Fraction``; the
-  source of truth for all algebraic statements (gcd, multiplicity
-  counting).
-* ``"float"`` -- double precision; used for measured data, where only
-  evaluation and numerical root finding are meaningful.
+ML-degree computations rest on.  Every polynomial is exact; the float
+root census of :mod:`fgmexp.roots` rounds one once.
 
 The shift values c_i are read and checked here, for :func:`build_k`,
 :func:`fgmexp.mldegree.profile`, :func:`fgmexp.mldegree.ml_degree_algebraic`
@@ -23,10 +16,13 @@ anything else, a mixture, a string, None, a complex value or a 2-D
 array among them, or an array of a dtype of neither kind, is
 :class:`ScalarModeError`.  Then one check per kind:
 there must be at least one value, an exact value must be nonzero, and a
-float value finite and nonzero.
+float value finite and nonzero.  A float shift is the dyadic rational
+it holds exactly, so :func:`build_k` and :func:`build_h` read it as
+that rational; only :func:`fgmexp.mldegree.profile` treats the two
+kinds apart.
 
 Every exact scalar the module takes -- a shift value, a coefficient of a
-rational :class:`Poly`, a point of :meth:`Poly.eval` or
+:class:`Poly`, a point of :meth:`Poly.eval` or
 :func:`root_multiplicity` -- is read by one reader, :func:`_exact_pairs`,
 into a (denominator, numerator) pair of Python ints, after
 :func:`scalar_kind` has said it is rational: a float, a string or a
@@ -34,7 +30,7 @@ mixture where a rational is read is :class:`ScalarModeError`, and a
 Fraction with numpy-integer parts enters the arithmetic with Python ints,
 so nothing wraps.
 
-The exact operations work on integers from start to finish.  A rational
+The exact operations work on integers from start to finish.  A
 polynomial is held as a primitive integer vector times a rational scale,
 and the Fraction coefficients are built from them on each read.
 :func:`build_k` multiplies the integer factors (d_i theta + n_i) of the
@@ -58,10 +54,11 @@ division.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -81,9 +78,7 @@ __all__ = [
 RATIONAL = "rational"
 FLOAT = "float"
 
-Scalar = Union[Fraction, float]
-
-# The types of an exact scalar: a shift value, a coefficient of a rational
+# The types of an exact scalar: a shift value, a coefficient of a
 # polynomial or a point at which one is evaluated.  A bool is an int, and
 # numpy's bool counts as one too, so a list of bools and a bool array agree.
 _RATIONAL_TYPES = (Fraction, int, np.integer, np.bool_)
@@ -121,66 +116,49 @@ def scalar_kind(values: Sequence) -> str | None:
 
 @dataclass(frozen=True, init=False, repr=False)
 class Poly:
-    """Immutable univariate polynomial, coefficients in ascending degree.
+    """Immutable univariate polynomial over the rationals, coefficients in
+    ascending degree.
 
     The zero polynomial is canonically the empty coefficient tuple and
     has degree ``-inf``.  Nonzero polynomials never carry trailing zero
     coefficients, so ``coeffs[-1]`` is the leading coefficient.
 
-    A rational polynomial is held as a primitive integer vector whose
-    leading entry is positive, times a rational scale; its Fraction
-    ``coeffs`` are built from them on each read.  A float polynomial
-    holds its coefficients, each finite.
+    A polynomial is held as a primitive integer vector whose leading
+    entry is positive, times a rational scale; its Fraction ``coeffs``
+    are built from them on each read.
 
     ``coeffs`` is a one-dimensional sequence (read once) or ndarray whose
-    kind, by :func:`scalar_kind`, is ``kind``; an empty one fits either
-    kind.  Rational coefficients are read as exactly as shift values, so
-    a bool list and a bool array, or a Fraction of numpy integers and of
-    Python ints, give the same polynomial.  Raises ScalarModeError
-    ``coefficients of a <kind> polynomial must be one-dimensional and all
-    <kind>`` for anything else: a float, a string or a mixture among
-    rational coefficients, an int among float ones.  Raises ValueError
-    ``float polynomial coefficients must be finite`` for an infinite or
-    NaN float coefficient, also where :func:`build_k`, :meth:`derivative`
-    or :meth:`monic` build a float polynomial that overflows.
+    kind, by :func:`scalar_kind`, is rational; an empty one of any kind
+    is the zero polynomial.  The coefficients are read as exactly as
+    shift values, so a bool list and a bool array, or a Fraction of numpy
+    integers and of Python ints, give the same polynomial.  Raises
+    ScalarModeError ``coefficients of a rational polynomial must be
+    one-dimensional and all rational`` for anything else: a float, a
+    string or a mixture among them.
     """
 
-    kind: str
     _vector: tuple
-    _scale: Fraction | None
+    _scale: Fraction
 
-    def __init__(self, coeffs: Iterable, kind: str = RATIONAL):
-        if kind not in (RATIONAL, FLOAT):
-            raise ValueError(f"unknown scalar kind {kind!r}")
+    def __init__(self, coeffs: Iterable):
         values = coeffs if isinstance(coeffs, (list, np.ndarray)) else list(coeffs)
         got = scalar_kind(values)
-        if got != kind and (got is None or len(values)):
+        if got != RATIONAL and (got is None or len(values)):
             raise ScalarModeError(
-                f"coefficients of a {kind} polynomial must be one-dimensional and all {kind}")
-        if kind == FLOAT:
-            cs = [float(v) for v in values]
-            while cs and cs[-1] == 0:
-                cs.pop()
-            if not all(map(math.isfinite, cs)):
-                raise ValueError("float polynomial coefficients must be finite")
-            _setup(self, FLOAT, tuple(cs), None)
-            return
+                "coefficients of a rational polynomial must be one-dimensional and all rational")
         pairs = _exact_pairs(values)
         den = math.lcm(*[d for d, _ in pairs])
-        _setup(self, RATIONAL, *_canonical([n * (den // d) for d, n in pairs], Fraction(1, den)))
+        _setup(self, *_canonical([n * (den // d) for d, n in pairs], Fraction(1, den)))
 
     def __repr__(self):
-        return f"Poly(coeffs={self.coeffs!r}, kind={self.kind!r})"
+        return f"Poly(coeffs={self.coeffs!r})"
 
     # -- structure ---------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients in ascending degree: Fractions in lowest terms
-        for a rational polynomial, built on each read, floats for a float
-        one."""
-        if self.kind == FLOAT:
-            return self._vector
+        """The coefficients in ascending degree, Fractions in lowest terms
+        built on each read."""
         num, den = self._scale.numerator, self._scale.denominator
         return tuple(Fraction(x * num, den) for x in self._vector)
 
@@ -194,62 +172,40 @@ class Poly:
         return not self._vector
 
     @property
-    def leading_coefficient(self) -> Scalar:
-        if self.kind == FLOAT:
-            return self._vector[-1] if self._vector else 0.0
+    def leading_coefficient(self) -> Fraction:
         return self._scale * self._vector[-1] if self._vector else Fraction(0)
 
     # -- operations ---------------------------------------------------------
 
-    def eval(self, t):
-        """Evaluate at ``t`` by Horner's rule.
+    def eval(self, t) -> Fraction:
+        """Evaluate at ``t`` by Horner's rule, exactly.
 
-        The point must match the scalar kind.  A rational polynomial takes
-        a rational point, read as exactly as its coefficients, and gives a
-        Fraction; anything else is ScalarModeError ``points of a rational
-        polynomial must be rational``.  A float polynomial takes a float,
-        an int or a bool (a numpy integer or bool counts as an int, as in
-        :func:`scalar_kind`) or a complex point (reals widen to complex),
-        but not a Fraction; anything else is ScalarModeError ``cannot
-        evaluate float polynomial at <type>``.
+        The point is read as exactly as the coefficients; anything but one
+        rational scalar, a float or a string among them, is
+        ScalarModeError ``points of a rational polynomial must be
+        rational``.
         """
-        if self.kind == RATIONAL:
-            # Horner's rule on d**deg p(n/d): each step multiplies by n,
-            # and the coefficient taken at step j by d**j
-            d, n = _rational_point(t)
-            acc, power = 0, 1
-            for x in reversed(self._vector):
-                acc, power = acc * n + x * power, power * d
-            return self._scale * Fraction(acc * d, power)
-        if isinstance(t, (np.integer, np.bool_)):
-            t = int(t)
-        elif not isinstance(t, (float, complex, int, np.floating, np.complexfloating)):
-            raise ScalarModeError(f"cannot evaluate float polynomial at {type(t).__name__}")
-        acc = 0.0
-        for c in reversed(self._vector):
-            acc = acc * t + c
-        return acc
+        # Horner's rule on d**deg p(n/d): each step multiplies by n, and
+        # the coefficient taken at step j by d**j
+        d, n = _rational_point(t)
+        acc, power = 0, 1
+        for x in reversed(self._vector):
+            acc, power = acc * n + x * power, power * d
+        return self._scale * Fraction(acc * d, power)
 
     __call__ = eval
 
     def derivative(self) -> "Poly":
         """Formal derivative; drops the degree by one for non-constants."""
-        terms = [i * c for i, c in enumerate(self._vector) if i > 0]
-        if self.kind == FLOAT:
-            return Poly(terms, FLOAT)
-        return _rational(terms, self._scale)
+        return _rational([i * c for i, c in enumerate(self._vector) if i > 0], self._scale)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ValueError("the zero polynomial has no monic form")
-        lead = self._vector[-1]
-        if self.kind == FLOAT:
-            return Poly([c / lead for c in self._vector], FLOAT)
-        return _rational(list(self._vector), Fraction(1, lead))
+        return _rational(list(self._vector), Fraction(1, self._vector[-1]))
 
 
-def _setup(p: Poly, kind: str, vector: tuple, scale: Fraction | None) -> None:
-    object.__setattr__(p, "kind", kind)
+def _setup(p: Poly, vector: tuple, scale: Fraction) -> None:
     object.__setattr__(p, "_vector", vector)
     object.__setattr__(p, "_scale", scale)
 
@@ -271,9 +227,9 @@ def _canonical(ints: list[int], scale: Fraction) -> tuple[tuple, Fraction]:
 
 
 def _rational(ints: list[int], scale: Fraction) -> Poly:
-    """The rational polynomial ``scale * sum(ints[i] theta**i)``."""
+    """The polynomial ``scale * sum(ints[i] theta**i)``."""
     p = object.__new__(Poly)
-    _setup(p, RATIONAL, *_canonical(ints, scale))
+    _setup(p, *_canonical(ints, scale))
     return p
 
 
@@ -335,9 +291,9 @@ def _linear_factors(c) -> tuple[str, list | np.ndarray, list | np.ndarray]:
     """The shift-value rule's one normalizer: the kind of ``c``, its
     checked values, and the values as read.  The checked values are the
     (d, n) pairs of the rational values n/d, each the factor
-    (d theta + n), or the float64 array of the float values c, each the
-    factor (theta + c).  ValueError ``need at least one shift value`` for
-    no values, then the kind's own check."""
+    (d theta + n), or the float64 array of the float values.  ValueError
+    ``need at least one shift value`` for no values, then the kind's own
+    check."""
     values, kind = _shift_values(c)
     if not len(values):
         raise ValueError("need at least one shift value")
@@ -349,41 +305,33 @@ def build_k(c: Sequence) -> Poly:
 
     Coefficients are the elementary symmetric functions of the shifts,
     accumulated by repeated multiplication with the linear factors, so
-    the result is invariant under permutation of ``c``.  Each factor is
-    taken as a pair (a_i theta + b_i): a rational shift n_i/d_i as the
-    integer factor (d_i theta + n_i), a float shift as (theta + c_i).
-    The integer product takes two factors per pass, multiplied out as one
-    quadratic, after the first factor alone when n is odd; the float
-    product takes one factor per pass, which fixes the order of its
-    roundings.  The integer factors are primitive, and so, by Gauss's
-    lemma, is their product; the monic k is that product over the
-    product of the d_i, its leading coefficient.
+    the result is invariant under permutation of ``c``.  Each shift is
+    read as the exact rational n_i/d_i in lowest terms, a float as the
+    dyadic rational it holds (``float.as_integer_ratio``), and enters as
+    the integer factor (d_i theta + n_i).  The product takes two factors
+    per pass, multiplied out as one quadratic, after the first factor
+    alone when n is odd.  The integer factors are primitive, and so, by
+    Gauss's lemma, is their product; the monic k is that product over
+    the product of the d_i, its leading coefficient.  So the k of float
+    shifts is exactly the k of their Fractions.
 
     ``c`` is a one-dimensional sequence of values that are all rational
     (Fraction, int, bool, numpy integer or bool) or all float (float or
-    numpy float), or a one-dimensional ndarray of a bool, integer or
-    float dtype.  Raises ScalarModeError for anything else: a mixture of
-    the two kinds, a string, None, a complex value, a nested sequence or
-    an ndarray of another dimension.  Raises ValueError with one message
-    per condition: ``need at least one shift value`` for no values,
-    ``shift values must be nonzero`` for a zero rational value, and
-    ``shift values must be finite and nonzero`` for a float value that
-    is zero, infinite or NaN.  :func:`fgmexp.mldegree.profile` reads its
-    values with the same normalizer, so it accepts the same values and
-    raises the same errors.  A float k with a coefficient that overflows
-    to infinity or NaN, as the elementary symmetric functions of a few
-    hundred sampled shifts do, raises ValueError ``float polynomial
-    coefficients must be finite`` (see :class:`Poly`).
+    numpy float, read as its float64 value), or a one-dimensional
+    ndarray of a bool, integer or float dtype.  Raises ScalarModeError
+    for anything else: a mixture of the two kinds, a string, None, a
+    complex value, a nested sequence or an ndarray of another dimension.
+    Raises ValueError with one message per condition: ``need at least
+    one shift value`` for no values, ``shift values must be nonzero``
+    for a zero rational value, and ``shift values must be finite and
+    nonzero`` for a float value that is zero, infinite or NaN.
+    :func:`fgmexp.mldegree.profile` reads its values with the same
+    normalizer, so it accepts the same values and raises the same
+    errors.
     """
     kind, shifts, _ = _linear_factors(c)
-    if kind == FLOAT:
-        coeffs = [1.0]
-        for b in shifts.tolist():
-            # multiply by (theta + b): new[j] = old[j-1] + b*old[j]
-            coeffs = [b * coeffs[0],
-                      *[lo + b * hi for lo, hi in zip(coeffs, coeffs[1:])],
-                      coeffs[-1]]
-        return Poly(coeffs, FLOAT)
+    if kind != RATIONAL:
+        shifts = [(d, n) for n, d in map(float.as_integer_ratio, shifts.tolist())]
     # the odd factor out first, then two factors per pass: multiply by
     # (a1 theta + b1)(a2 theta + b2) = A theta^2 + B theta + C, so
     # new[j] = A*old[j-2] + B*old[j-1] + C*old[j]
@@ -404,9 +352,8 @@ def build_h(c: Sequence) -> Poly:
     Constructed as the formal derivative of :func:`build_k`, which is the
     same polynomial in O(n^2) scalar operations instead of O(n^3).  The
     degree is exactly n-1 and the leading coefficient is n.  It takes
-    the values and raises the errors of :func:`build_k`; a float h also
-    raises ValueError ``float polynomial coefficients must be finite``
-    when a coefficient of k or of its derivative is not finite.
+    the values and raises the errors of :func:`build_k`, and like it is
+    exact for float shifts.
     """
     return build_k(c).derivative()
 
@@ -577,12 +524,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
     about once and fails about one reconstruction per image, where a
     lift from scratch after every image would redo all of them.  Every
     candidate is the one a lift from scratch would give.
-
-    Defined only for exact-rational polynomials; float polynomials have
-    no meaningful gcd and are rejected.
     """
-    if a.kind != RATIONAL or b.kind != RATIONAL:
-        raise ScalarModeError("gcd is defined only for rational polynomials")
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     if a.is_zero or b.is_zero:
@@ -626,13 +568,10 @@ def root_multiplicity(p: Poly, r) -> int:
     step that does not divide exactly; each exact pass deflates ``p``
     once.  Integer arithmetic only, zero tolerance.
 
-    ``r`` is read as :meth:`Poly.eval` reads a rational point: anything
-    but a rational scalar, a float or a string among them, is
-    ScalarModeError.  Raises ScalarModeError for a float polynomial and
-    ValueError for the zero polynomial.
+    ``r`` is read as :meth:`Poly.eval` reads a point: anything but a
+    rational scalar, a float or a string among them, is ScalarModeError.
+    Raises ValueError for the zero polynomial.
     """
-    if p.kind != RATIONAL:
-        raise ScalarModeError("exact multiplicity requires a rational polynomial")
     if p.is_zero:
         raise ValueError("every point is a root of the zero polynomial")
     t, s = _rational_point(r)
@@ -653,8 +592,24 @@ def root_multiplicity(p: Poly, r) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a ``p/q`` literal; a bare integer means q = 1."""
+    """Parse a ``p/q`` literal; a bare integer means q = 1, and a decimal
+    or exponent literal such as ``1.5e-3`` is read exactly.
+
+    A literal whose numerator or denominator would have more digits than
+    CPython's int-string limit (``sys.get_int_max_str_digits()``, no
+    limit when it is 0) is refused, as CPython refuses such a digit
+    string.  An exponent whose power of ten alone would pass the limit
+    is refused before that power is built, so ``1e999999999`` is refused
+    at once.
+    Raises ValueError ``not a rational literal: <text>``.
+    """
+    limit = sys.get_int_max_str_digits()
+    _, e, exponent = text.lower().rpartition("e")
     try:
-        return Fraction(text.strip())
+        if limit and e and abs(int(exponent)) >= limit:
+            raise ValueError("exponent past the int-string limit")
+        value = Fraction(text.strip())
+        str(value)  # ValueError for a part past the limit, which no output could print
+        return value
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc

@@ -1,11 +1,13 @@
 """Complex roots of the score numerator and the interior score root.
 
-The float-mode root finder reports every zero of a polynomial, counted
-with multiplicity, by companion-matrix eigenvalues; nearby roots are
-clustered so that repeated zeros blurred by rounding are reported once
-with a summed multiplicity.  Exact multiplicity statements belong to the
-rational gcd path in :mod:`fgmexp.mldegree`; the float path only needs
-robust reporting.
+The root census reports every zero of an exact polynomial, counted with
+multiplicity.  It rounds the coefficients to floats once, each to the
+nearest, and takes the companion-matrix eigenvalues of that float
+polynomial; nearby roots are clustered so that repeated zeros blurred by
+rounding are reported once with a summed multiplicity.  Exact
+multiplicity statements belong to the rational gcd path in
+:mod:`fgmexp.mldegree`; the census only needs robust reporting, and
+only while the coefficients and the residual scales fit in a float.
 
 The score sum w_i / (1 + theta w_i) is strictly decreasing between its
 poles, and all poles lie outside (-1, 1), so the interior
@@ -27,12 +29,13 @@ reduction over the rows gives the score, minus its slope, and its scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import validate_weights
-from .polynomials import FLOAT, Poly, ScalarModeError
+from .polynomials import Poly
 
 __all__ = [
     "RootSet",
@@ -46,6 +49,7 @@ _ENDPOINT_OFFSET = 1e-12  # inward move of the bracket's end at a pole
 # units of the sum of the magnitudes of its terms
 STOP_REL = 8.0 * np.finfo(float).eps
 MAX_ITER = 200
+OUT_OF_RANGE = "the root census needs coefficients and residual scales within the float range"
 
 
 @dataclass(frozen=True)
@@ -69,10 +73,15 @@ class RootSet:
         return sum(self.multiplicities)
 
 
-def _backward_error(p: Poly, z: complex) -> float:
-    num = abs(p.eval(complex(z)))
-    scale = sum(abs(c) * abs(z) ** j for j, c in enumerate(p.coeffs))
-    return num / max(scale, np.finfo(float).tiny)
+def _backward_error(coeffs: list[float], z: complex) -> float:
+    """|p(z)| over sum_j |a_j| |z|^j, both by Horner's rule on the float
+    coefficients ``coeffs``; OverflowError when the scale is not finite."""
+    num, scale, r = 0j, 0.0, abs(z)
+    for c in reversed(coeffs):
+        num, scale = num * z + c, scale * r + abs(c)
+    if not math.isfinite(scale):
+        raise OverflowError(OUT_OF_RANGE)
+    return abs(num) / max(scale, np.finfo(float).tiny)
 
 
 def _cluster(raw: np.ndarray, radius: float) -> list[tuple[complex, int]]:
@@ -103,24 +112,35 @@ def _cluster(raw: np.ndarray, radius: float) -> list[tuple[complex, int]]:
 def complex_roots(p: Poly) -> RootSet:
     """Every complex zero of ``p``, counted with multiplicity.
 
-    Roots are the eigenvalues of the companion matrix; clusters of raw
-    roots within ``1e-7 * max(1, |root|)`` of each other are merged into
-    one reported root (their centroid) with the cluster size as its
-    multiplicity.
+    Each exact coefficient is rounded once to the nearest float; roots
+    are the eigenvalues of the companion matrix of those floats, and
+    clusters of raw roots within ``1e-7 * max(1, |root|)`` of each other
+    are merged into one reported root (their centroid) with the cluster
+    size as its multiplicity.  Raises ValueError for a polynomial of
+    degree below 1, and OverflowError :data:`OUT_OF_RANGE` when a
+    coefficient or the residual scale at a root is past the float range,
+    or the leading coefficient rounds to 0.
+    On the h of sampled shifts c = 1/w the scale passes it from about
+    n = 150 and the coefficients from about n = 400; from about n = 100
+    non-real roots are reported where the true zeros are real.
     """
-    if p.kind != FLOAT:
-        raise ScalarModeError("complex_roots requires a float polynomial")
-    if p.is_zero or p.degree < 1:
+    if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     try:
-        raw = np.roots(np.asarray(p.coeffs[::-1], dtype=float))
+        coeffs = [float(c) for c in p.coeffs]
+        if not coeffs[-1]:  # a leading coefficient below the float range
+            raise OverflowError
+    except OverflowError:
+        raise OverflowError(OUT_OF_RANGE) from None
+    try:
+        raw = np.roots(coeffs[::-1])
     except np.linalg.LinAlgError:
         return RootSet((), (), (), converged=False)
     scale = max(1.0, float(np.max(np.abs(raw))))
     merged = _cluster(raw, CLUSTER_RADIUS * scale)
     roots = tuple(z for z, _ in merged)
     mults = tuple(m for _, m in merged)
-    residuals = tuple(_backward_error(p, z) for z in roots)
+    residuals = tuple(_backward_error(coeffs, z) for z in roots)
     return RootSet(roots, mults, residuals)
 
 

@@ -1,6 +1,6 @@
 import itertools
 import math
-import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgmexp import polynomials
-from fgmexp.model import c_shift, sample
 from fgmexp.polynomials import (
-    FLOAT,
     Poly,
     ScalarModeError,
     build_h,
@@ -52,6 +50,17 @@ def naive_h(c):
 rationals = st.fractions(
     min_value=F(-20), max_value=F(20), max_denominator=12
 ).filter(lambda v: v != 0)
+
+
+def float_shifts(width):
+    """Lists of finite nonzero floats of ``width`` bits: subnormals, the
+    smallest normal, the largest value and 1e308 among them."""
+    info = np.finfo(np.float32 if width == 32 else np.float64)
+    edges = [float(v) for v in (info.smallest_subnormal, info.tiny, info.max)]
+    edges += [1e308] if width == 64 else []
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=width),
+                      st.sampled_from(edges + [-v for v in edges]))
+    return st.lists(value.filter(bool), min_size=1, max_size=12)
 
 
 def c_lists(max_n):
@@ -142,29 +151,31 @@ class TestPoly:
         assert p.coeffs == (F(1, 2), F(2))
 
     def test_eval_examples(self):
-        assert Poly((6.0, 2.0), FLOAT).eval(-3.0) == 0.0
+        assert Poly((6, 2)).eval(-3) == 0
         assert Poly((F(-8), F(-2), F(1))).eval(0) == -8
         assert Poly((F(5), F(8), F(3))).eval(F(-5, 3)) == 0
 
-    def test_eval_widens_float_to_complex(self):
-        p = Poly((1.0, 0.0, 1.0), FLOAT)
-        assert p.eval(1j) == pytest.approx(0.0)
-
     def test_eval_rejects_mixed_modes(self):
-        with pytest.raises(ScalarModeError):
-            Poly((F(1), F(1))).eval(0.5)
-        with pytest.raises(ScalarModeError):
-            Poly((1.0, 1.0), FLOAT).eval(F(1, 2))
+        for point in (0.5, 1j, "1/2"):
+            with pytest.raises(ScalarModeError):
+                Poly((F(1), F(1))).eval(point)
 
     @pytest.mark.parametrize("build", [
-        lambda: Poly((1.0, math.inf), FLOAT),
-        lambda: Poly((math.nan,), FLOAT),
-        lambda: Poly((0.0, 0.0, 1e308), FLOAT).derivative(),
-        lambda: Poly((1e308, 1e-10), FLOAT).monic(),
+        lambda: Poly((1.0, math.inf)),
+        lambda: Poly((math.nan,)),
+        lambda: Poly((0.0, 0.0, 1e308)).derivative(),
+        lambda: Poly((1e308, 1e-10)).monic(),
     ], ids=["infinite", "nan", "derivative overflows", "monic overflows"])
     def test_float_coefficients_must_be_finite(self, build):
-        with pytest.raises(ValueError, match="^float polynomial coefficients must be finite$"):
+        # every coefficient is exact, so a float one is refused before any
+        # arithmetic, and with it every infinity, NaN and overflow
+        with pytest.raises(ScalarModeError, match="^coefficients of a rational polynomial must "
+                           "be one-dimensional and all rational$"):
             build()
+
+    def test_derivative_and_monic_past_the_float_range_are_exact(self):
+        assert Poly((0, 0, 10**400)).derivative().coeffs == (0, 2 * 10**400)
+        assert Poly((10**400, F(1, 10**10))).monic().coeffs == (10**410, 1)
 
     def test_derivative_examples(self):
         assert Poly((F(-8), F(-2), F(1))).derivative().coeffs == (F(-2), F(2))
@@ -185,10 +196,6 @@ def loop_build_k(c, one):
     return coeffs
 
 
-def float_bits(values):
-    return struct.pack(f"{len(values)}d", *values)
-
-
 class TestBuildK:
     @given(c_lists(20))
     @settings(max_examples=80)
@@ -199,23 +206,25 @@ class TestBuildK:
                     .filter(lambda v: v != 0.0), min_size=1, max_size=40))
     @settings(max_examples=80)
     def test_float_matches_the_factor_by_factor_loop_bit_for_bit(self, c):
-        k = build_k(c)
-        want = loop_build_k(c, 1.0)
-        assert float_bits(k.coeffs) == float_bits(want)
+        # a float shift is the exact rational it holds
+        assert build_k(c).coeffs == tuple(loop_build_k([F(v) for v in c], F(1)))
 
     def test_float_sampled_shifts_bit_for_bit(self):
+        # the Fraction loop would take about 15 s at n = 400
         rng = np.random.default_rng(5)
-        for n in (1, 2, 17, 150, 400):
+        for n in (1, 2, 17, 150):
             c = list(1.0 / rng.uniform(-1.0, 1.0, size=n))
-            assert float_bits(build_k(c).coeffs) == float_bits(loop_build_k(c, 1.0))
+            assert build_k(c).coeffs == tuple(loop_build_k([F(v) for v in c], F(1)))
 
-    def test_float_overflow_at_n_400_is_a_value_error(self):
-        # the elementary symmetric functions of 400 sampled shifts pass
-        # the float limit: 158 of k's 401 coefficients would be infinite
-        c = c_shift(sample(400, 0.3, 1)).values
-        for build in (build_k, build_h):
-            with pytest.raises(ValueError, match="^float polynomial coefficients must be finite$"):
-                build(c)
+    @given(st.one_of(
+        float_shifts(64), float_shifts(64).map(np.array),
+        float_shifts(32).map(lambda v: np.array(v, dtype=np.float32)),
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_float_shifts_are_read_as_their_exact_rationals(self, c):
+        exact = [F(float(v)) for v in c]
+        assert build_k(c) == build_k(exact)
+        assert build_h(c) == build_h(exact)
 
     def test_numpy_integers_do_not_wrap(self):
         # int64 products of 10**6 wrap past 2**63; the exact build must not
@@ -236,8 +245,9 @@ class TestBuildK:
 
     def test_float_mode(self):
         k = build_k([2.0, -4.0])
-        assert k.kind == FLOAT
-        assert k.coeffs == (-8.0, -2.0, 1.0)
+        assert k == build_k([F(2), F(-4)])
+        assert k.coeffs == (F(-8), F(-2), F(1))
+        assert build_k([0.1]).coeffs == (F(3602879701896397, 2**55), F(1))
 
     def test_rejects_zero_values(self):
         with pytest.raises(ValueError):
@@ -306,8 +316,12 @@ class TestGcd:
         assert gcd(p, p).coeffs == (F(2), F(1))
 
     def test_rejects_float_mode(self):
+        # no polynomial has float coefficients; float shifts give the
+        # exact gcd of their rationals
         with pytest.raises(ScalarModeError):
-            gcd(Poly((1.0, 1.0), FLOAT), Poly((1.0,), FLOAT))
+            gcd(Poly((1.0, 1.0)), Poly((1.0,)))
+        c = [0.1, 0.3, 0.1]
+        assert gcd(build_h(c), build_k(c)) == Poly((F(0.1), 1))
 
     def test_gcd_of_two_zeros_undefined(self):
         with pytest.raises(ValueError):
@@ -457,7 +471,13 @@ class TestRootMultiplicity:
         with pytest.raises(ValueError):
             root_multiplicity(Poly(()), F(1))
         with pytest.raises(ScalarModeError):
-            root_multiplicity(Poly((1.0, 1.0), FLOAT), F(-1))
+            root_multiplicity(Poly((1.0, 1.0)), F(-1))
+        # the h of float shifts is exact, and so is its multiplicity at
+        # the exact root; a float point is refused
+        h = build_h([0.1, 0.1, 0.1, 0.3])
+        assert root_multiplicity(h, -F(0.1)) == 2
+        with pytest.raises(ScalarModeError):
+            root_multiplicity(h, -0.1)
 
     @given(c_lists(12), rationals)
     @settings(max_examples=80, deadline=None)
@@ -489,3 +509,22 @@ class TestParseRational:
     def test_rejects_garbage(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["1e999999999", "1e-999999999", "99e4299", "1/3e4300",
+                                      "1" * 4301, "1e" + "9" * 4301])
+    def test_rejects_parts_past_the_int_string_limit(self, text):
+        # 10**999999999 would take minutes to build; the limit is 4300
+        # digits unless changed
+        assert sys.get_int_max_str_digits() == 4300
+        with pytest.raises(ValueError, match="^not a rational literal: "):
+            parse_rational(text)
+
+    def test_accepts_parts_at_the_int_string_limit(self):
+        assert parse_rational("9e4299") == 9 * 10**4299
+        assert parse_rational("-1e-4299") == F(-1, 10**4299)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert parse_rational("1e5000") == 10**5000
+        finally:
+            sys.set_int_max_str_digits(limit)

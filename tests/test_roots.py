@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from fgmexp import roots
 from fgmexp.mle import fit
-from fgmexp.model import Dataset, sample
-from fgmexp.polynomials import FLOAT, Poly, ScalarModeError, build_h
-from fgmexp.roots import RootSet, complex_roots, score_root_from_weights
+from fgmexp.model import Dataset, c_shift, sample
+from fgmexp.polynomials import Poly, build_h
+from fgmexp.roots import complex_roots, score_root_from_weights
 
 F = Fraction
 
@@ -21,7 +21,7 @@ def random_c(rng, n, lo=1.0, hi=10.0):
 
 class TestComplexRoots:
     def test_linear(self):
-        rs = complex_roots(Poly((6.0, 2.0), FLOAT))
+        rs = complex_roots(Poly((6, 2)))
         assert rs.roots == (pytest.approx(-3.0),)
         assert rs.multiplicities == (1,)
 
@@ -31,7 +31,7 @@ class TestComplexRoots:
         assert rs.total_multiplicity == 2
 
     def test_perfect_square_merges_to_multiplicity_two(self):
-        rs = complex_roots(Poly((1.0, 2.0, 1.0), FLOAT))
+        rs = complex_roots(Poly((1, 2, 1)))
         assert rs.multiplicities == (2,)
         assert rs.roots[0].real == pytest.approx(-1.0, abs=1e-7)
         assert rs.total_multiplicity == 2
@@ -80,13 +80,49 @@ class TestComplexRoots:
             for j, xj in enumerate(xs):
                 assert ys[j] - 1e-6 * scale <= xj <= ys[j + 1] + 1e-6 * scale
 
-    def test_rejects_rational_polynomial(self):
-        with pytest.raises(ScalarModeError):
-            complex_roots(Poly((F(1), F(1))))
-
     def test_rejects_constant(self):
-        with pytest.raises(ValueError):
-            complex_roots(Poly((3.0,), FLOAT))
+        for p in (Poly((3,)), Poly(())):
+            with pytest.raises(ValueError, match="^root finding needs degree >= 1$"):
+                complex_roots(p)
+
+    def test_rounds_each_coefficient_once_to_the_nearest_float(self):
+        # 1/3 and 10**400/3**700 round to their nearest floats, not to a
+        # float quotient of rounded parts
+        rs = complex_roots(Poly((F(1, 3), 1)))
+        assert rs.roots == (complex(-1 / 3),)
+        rs = complex_roots(Poly((F(10**400, 3**700), 1)))
+        assert rs.roots == (complex(-F(10**400, 3**700)),)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 301])
+    def test_sampled_shifts_at_n_20_meet_c5(self, seed):
+        # the benchmark's root census requires every n = 20 case to pass
+        c = c_shift(sample(20, 0.3, seed)).values
+        rs = complex_roots(build_h(c))
+        assert rs.total_multiplicity == 19
+        assert max(rs.residuals) <= 1e-8
+        scale = max(1.0, float(np.max(np.abs(c))))
+        assert max(abs(z.imag) for z in rs.roots) <= 1e-7 * scale
+        xs = sorted(z.real for z, m in zip(rs.roots, rs.multiplicities) for _ in range(m))
+        ys = sorted(-c)
+        for j, xj in enumerate(xs):
+            assert ys[j] - 1e-7 * scale <= xj <= ys[j + 1] + 1e-7 * scale
+
+    @pytest.mark.parametrize("n", [150, 400])
+    def test_past_the_float_range_is_an_overflow_error(self, n):
+        # at n = 150 the residual scale at a root overflows, at n = 400 a
+        # coefficient of h does too; the census says so, and the exact h
+        # is still built
+        h = build_h(c_shift(sample(n, 0.3, 1)).values)
+        assert h.degree == n - 1
+        assert (max(map(abs, h.coeffs)) < 2**1023) == (n == 150)
+        with pytest.raises(OverflowError, match=f"^{roots.OUT_OF_RANGE}$"):
+            complex_roots(h)
+
+    @pytest.mark.parametrize("coeffs", [(1, 10**400), (1, F(1, 10**400))], ids=["above", "below"])
+    def test_coefficient_past_the_float_range_is_an_overflow_error(self, coeffs):
+        # a leading coefficient that rounds to 0 would drop a root
+        with pytest.raises(OverflowError, match=f"^{roots.OUT_OF_RANGE}$"):
+            complex_roots(Poly(coeffs))
 
 
 class TestScoreRoot:
