@@ -316,10 +316,10 @@ def _value_arg(parse):
 
 
 def _shift_arg(text: str) -> Fraction:
-    """Argument type: a ``p/q`` literal that the exact shift-value rule
-    of :mod:`~fgmexp.polynomials` accepts."""
+    """Argument type: a ``p/q`` literal that the shift-value rule of
+    :mod:`~fgmexp.polynomials` accepts as one value."""
     value = polynomials.parse_rational(text)
-    polynomials._exact_shifts([value])
+    polynomials._linear_factors([value])
     return value
 
 

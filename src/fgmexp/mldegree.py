@@ -29,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from . import polynomials
-from .polynomials import ScalarModeError
 
 __all__ = [
     "APPROX_REL_TOL",
@@ -104,9 +103,11 @@ class MultiplicityProfile:
 def profile(c: Sequence) -> MultiplicityProfile:
     """Group the shift values by equality; their kind picks the mode.
 
-    The values are read by the normalizer that :func:`~fgmexp.polynomials.build_k`
-    uses, so ``profile`` accepts what ``build_k`` accepts and raises what
-    it raises: ScalarModeError for values that are not all rational or
+    The values are read by :func:`~fgmexp.polynomials._linear_factors`,
+    the one reader of shift values, which
+    :func:`~fgmexp.polynomials.build_k` uses too; so ``profile`` accepts
+    what ``build_k`` and :func:`ml_degree_algebraic` accept and raises
+    what they raise: ScalarModeError for values that are not all rational or
     all float (a mixture, a string, None, a complex value) or not one
     sequence (a 0-d or 2-D array), and ValueError ``need at least one
     shift value`` for no values, ``shift values must be nonzero`` for a
@@ -194,13 +195,17 @@ def ml_degree_formula(prof: MultiplicityProfile) -> int:
 def ml_degree_algebraic(c: Sequence) -> int:
     """Independent algebraic route: deg h - deg gcd(h, k) over exact rationals.
 
-    Must agree with :func:`ml_degree_formula` on every input; the pair of
-    routes is the correctness oracle for both.  The values are read as
-    :func:`profile` reads them, with its errors and messages:
+    Must agree with :func:`ml_degree_formula` on every input with rational
+    values, and on float values wherever the tolerance of :func:`profile`
+    merges no distinct floats; the pair of routes is the correctness
+    oracle for both.  The values are read by :func:`~fgmexp.polynomials.build_k`
+    alone, so this accepts what it accepts and raises what it raises:
     ScalarModeError for values of no kind, ValueError for no values or a
-    zero value; and :class:`AllEqualError` when every value is equal.
-    Float values, which :func:`profile` groups approximately, have no
-    exact count: ScalarModeError.
+    zero value, or a float value that is not finite; and
+    :class:`AllEqualError` when every value is equal.  A float value is
+    read as the dyadic rational it holds, so the count of floats is the
+    exact count of their Fractions, and all-equal floats carry that
+    Fraction as the error's ``value``.
 
     The all-equal case is read off the count itself: for n >= 2 the
     count is 0 exactly when every value is equal.  A count of 0 means
@@ -210,21 +215,19 @@ def ml_degree_algebraic(c: Sequence) -> int:
     for every i.  Conversely n equal values give h = n (theta + a)^(n-1),
     which divides k.
     """
-    values, kind = polynomials._shift_values(c)
-    if kind != polynomials.RATIONAL:
-        raise ScalarModeError("exact mode requires rational (Fraction/int) values")
-    return _algebraic_count_and_h(values)[0]
+    return _algebraic_count_and_h(c)[0]
 
 
-def _algebraic_count_and_h(values: Sequence) -> tuple[int, polynomials.Poly]:
+def _algebraic_count_and_h(c: Sequence) -> tuple[int, polynomials.Poly]:
     """:func:`ml_degree_algebraic`'s count together with the h = k' it
-    built, for callers that also need h and whose values are rational."""
-    k = polynomials.build_k(values)  # rejects no values and zero values
+    built, for callers that also need h."""
+    k = polynomials.build_k(c)
     h = k.derivative()
+    n = k.degree
     count = int(h.degree - polynomials.gcd(h, k).degree)
-    if count == 0 and len(values) >= 2:
+    if count == 0 and n >= 2:
         # k = (theta + a)^n, whose theta^(n-1) coefficient is n a
-        raise AllEqualError(k.coeffs[-2] / len(values), len(values))
+        raise AllEqualError(k.coeffs[-2] / n, n)
     return count, h
 
 

@@ -8,18 +8,20 @@ arithmetic (evaluation, derivative, exact gcd, multiplicity) that the
 ML-degree computations rest on.  Every polynomial is exact; the float
 root census of :mod:`fgmexp.roots` rounds one once.
 
-The shift values c_i are read and checked here, for :func:`build_k`,
-:func:`fgmexp.mldegree.profile`, :func:`fgmexp.mldegree.ml_degree_algebraic`
-and the CLI alike.  Their kind is decided once, by :func:`scalar_kind`:
+The shift values c_i are read and checked by one reader,
+:func:`_linear_factors`, for :func:`build_k`,
+:func:`fgmexp.mldegree.profile` and the CLI's ``--c`` alike;
+:func:`fgmexp.mldegree.ml_degree_algebraic` reads them through
+:func:`build_k`.  Their kind is decided once, by :func:`scalar_kind`:
 a one-dimensional sequence whose values are all rational or all float;
 anything else, a mixture, a string, None, a complex value or a 2-D
 array among them, or an array of a dtype of neither kind, is
 :class:`ScalarModeError`.  Then one check per kind:
 there must be at least one value, an exact value must be nonzero, and a
 float value finite and nonzero.  A float shift is the dyadic rational
-it holds exactly, so :func:`build_k` and :func:`build_h` read it as
-that rational; only :func:`fgmexp.mldegree.profile` treats the two
-kinds apart.
+it holds exactly, so :func:`build_k`, :func:`build_h` and the algebraic
+count read it as that rational; only :func:`fgmexp.mldegree.profile`
+treats the two kinds apart.
 
 Every exact scalar the module takes -- a shift value, a coefficient of a
 :class:`Poly`, a point of :meth:`Poly.eval` or
@@ -233,17 +235,6 @@ def _rational(ints: list[int], scale: Fraction) -> Poly:
     return p
 
 
-def _shift_values(c) -> tuple[list | np.ndarray, str]:
-    """The shift values read once, as a list or as the ndarray given, and
-    their kind: the one place that decides the kind.  ScalarModeError
-    when :func:`scalar_kind` gives none."""
-    values = c if isinstance(c, (list, np.ndarray)) else list(c)
-    kind = scalar_kind(values)
-    if kind is None:
-        raise ScalarModeError("shift values must be one-dimensional, all rational or all float")
-    return values, kind
-
-
 def _exact_pairs(values: Sequence) -> list[tuple[int, int]]:
     """The module's one exact reader: values that :func:`scalar_kind`
     calls rational, each n/d in lowest terms as the (d, n) pair of Python
@@ -267,37 +258,31 @@ def _rational_point(r) -> tuple[int, int]:
     return _exact_pairs([r])[0]
 
 
-def _exact_shifts(values: Sequence) -> list[tuple[int, int]]:
-    """The rational shift values as (d, n) pairs, by :func:`_exact_pairs`.
-    ValueError for a zero value; this is the only message the exact check
-    gives."""
-    pairs = _exact_pairs(values)
-    if not all(n for _, n in pairs):
-        raise ValueError("shift values must be nonzero")
-    return pairs
-
-
-def _float_shifts(values: Sequence) -> np.ndarray:
-    """The float shift values as a float64 array.  ValueError for a value
-    that is zero or not finite; this is the only message the float check
-    gives."""
-    fl = np.asarray(values, dtype=float)
-    if not (np.isfinite(fl) & (fl != 0.0)).all():
-        raise ValueError("shift values must be finite and nonzero")
-    return fl
-
-
 def _linear_factors(c) -> tuple[str, list | np.ndarray, list | np.ndarray]:
-    """The shift-value rule's one normalizer: the kind of ``c``, its
-    checked values, and the values as read.  The checked values are the
-    (d, n) pairs of the rational values n/d, each the factor
-    (d theta + n), or the float64 array of the float values.  ValueError
-    ``need at least one shift value`` for no values, then the kind's own
-    check."""
-    values, kind = _shift_values(c)
+    """The shift-value rule, and the one reader of shift values: the kind
+    of ``c``, its checked values, and the values as read once, a list or
+    the ndarray given.  The checked values are the (d, n) pairs of the
+    rational values n/d, each the factor (d theta + n), or the float64
+    array of the float values.  ScalarModeError when :func:`scalar_kind`
+    gives no kind; then ValueError ``need at least one shift value`` for
+    no values, ``shift values must be nonzero`` for a zero rational value
+    and ``shift values must be finite and nonzero`` for a float value
+    that is zero or not finite."""
+    values = c if isinstance(c, (list, np.ndarray)) else list(c)
+    kind = scalar_kind(values)
+    if kind is None:
+        raise ScalarModeError("shift values must be one-dimensional, all rational or all float")
     if not len(values):
         raise ValueError("need at least one shift value")
-    return kind, (_exact_shifts if kind == RATIONAL else _float_shifts)(values), values
+    if kind == RATIONAL:
+        shifts = _exact_pairs(values)
+        if not all(n for _, n in shifts):
+            raise ValueError("shift values must be nonzero")
+    else:
+        shifts = np.asarray(values, dtype=float)
+        if not (np.isfinite(shifts) & (shifts != 0.0)).all():
+            raise ValueError("shift values must be finite and nonzero")
+    return kind, shifts, values
 
 
 def build_k(c: Sequence) -> Poly:
@@ -326,8 +311,8 @@ def build_k(c: Sequence) -> Poly:
     for a zero rational value, and ``shift values must be finite and
     nonzero`` for a float value that is zero, infinite or NaN.
     :func:`fgmexp.mldegree.profile` reads its values with the same
-    normalizer, so it accepts the same values and raises the same
-    errors.
+    reader, :func:`_linear_factors`, so it accepts the same values and
+    raises the same errors.
     """
     kind, shifts, _ = _linear_factors(c)
     if kind != RATIONAL:

@@ -7,7 +7,8 @@ polynomial; nearby roots are clustered so that repeated zeros blurred by
 rounding are reported once with a summed multiplicity.  Exact
 multiplicity statements belong to the rational gcd path in
 :mod:`fgmexp.mldegree`; the census only needs robust reporting, and
-only while the coefficients and the residual scales fit in a float.
+only while the coefficients, the companion matrix and the residual
+scales fit in a float.
 
 The score sum w_i / (1 + theta w_i) is strictly decreasing between its
 poles, and all poles lie outside (-1, 1), so the interior
@@ -119,7 +120,8 @@ def complex_roots(p: Poly) -> RootSet:
     size as its multiplicity.  Raises ValueError for a polynomial of
     degree below 1, and OverflowError :data:`OUT_OF_RANGE` when a
     coefficient or the residual scale at a root is past the float range,
-    or the leading coefficient rounds to 0.
+    or an entry -a_j/a_n of the companion matrix of the rounded
+    coefficients is not finite, as when a_n rounds to 0.
     On the h of sampled shifts c = 1/w the scale passes it from about
     n = 150 and the coefficients from about n = 400; from about n = 100
     non-real roots are reported where the true zeros are real.
@@ -128,7 +130,11 @@ def complex_roots(p: Poly) -> RootSet:
         raise ValueError("root finding needs degree >= 1")
     try:
         coeffs = [float(c) for c in p.coeffs]
-        if not coeffs[-1]:  # a leading coefficient below the float range
+        # np.roots's companion matrix holds -a_j/a_n; a leading
+        # coefficient rounded to 0 leaves one infinite or NaN too
+        with np.errstate(all="ignore"):
+            entries = np.divide(coeffs[:-1], coeffs[-1])
+        if not np.isfinite(entries).all():
             raise OverflowError
     except OverflowError:
         raise OverflowError(OUT_OF_RANGE) from None

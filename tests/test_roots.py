@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,14 @@ class TestComplexRoots:
         # a leading coefficient that rounds to 0 would drop a root
         with pytest.raises(OverflowError, match=f"^{roots.OUT_OF_RANGE}$"):
             complex_roots(Poly(coeffs))
+
+    def test_companion_entry_past_the_float_range_is_an_overflow_error(self):
+        # both coefficients round to finite floats, but -a_0/a_1 = -1e310
+        # does not: no numpy overflow warning and no empty RootSet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=f"^{roots.OUT_OF_RANGE}$"):
+                complex_roots(Poly((10**300, F(1, 10**10))))
 
 
 class TestScoreRoot:
