@@ -346,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("mldegree", parents=[common], help="ML-degree report")
-    # let negative rational literals like -9/12 pass as values, not options
-    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--c", nargs="+", type=_value_arg(_shift_arg),
                        help="explicit nonzero shift values as p/q literals (exact)")
@@ -366,6 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(repeatable; default draws a random shape per trial)",
     )
     p.set_defaults(func=cmd_verify)
+    # a token that starts with "-" and a digit, or "-." and a digit, is a
+    # value: -9/12, -1.5, -.5 and -1e-3 alike (no option starts so)
+    for subparser in sub.choices.values():
+        subparser._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

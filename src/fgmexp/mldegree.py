@@ -68,15 +68,15 @@ class AllEqualError(ValueError):
 class MultiplicityProfile:
     """Grouping of the shift values by equality, as two columns.
 
-    ``values`` holds one representative per group (Fractions in exact
-    mode, floats in approximate mode) and ``mults`` the group sizes as a
-    read-only int64 array, both in order of first appearance.  Derived
-    counts, taken once at construction: ``n`` values, ``p`` distinct
-    values, ``l`` groups of size > 1, and ``m`` the total size of those
-    groups.
+    ``values`` holds one representative per group, a list of Fractions
+    in exact mode and a read-only float64 array in approximate mode, and
+    ``mults`` the group sizes as a read-only int64 array, both in order
+    of first appearance.  Derived counts, taken once at construction:
+    ``n`` values, ``p`` distinct values, ``l`` groups of size > 1, and
+    ``m`` the total size of those groups.
     """
 
-    values: list
+    values: list | np.ndarray
     mults: np.ndarray
     mode: str  # "exact" | "approx"
     n: int = field(init=False)
@@ -124,8 +124,11 @@ def profile(c: Sequence) -> MultiplicityProfile:
     result is a partition.  The float grouping sorts the values once,
     builds the tolerance of each pair of sorted neighbours in one buffer
     and frees it with the sorted copy before the representatives are
-    listed; it orders the groups by scattering each size to its group's
-    first index, not by a second sort.
+    taken; it orders the groups by scattering each size to its group's
+    first index, not by a second sort.  Each float group is represented
+    by its first value, and the representatives stay one read-only
+    float64 array, whose entries are ``np.float64``, a ``float``
+    subclass.
     """
     kind, shifts, values = polynomials._linear_factors(c)
     if kind == polynomials.RATIONAL:
@@ -150,7 +153,9 @@ def profile(c: Sequence) -> MultiplicityProfile:
     sizes = np.zeros(len(fl), dtype=np.int64)
     sizes[np.minimum.reduceat(order, starts)] = np.diff(starts, append=len(fl))
     first = np.flatnonzero(sizes)
-    return MultiplicityProfile(fl[first].tolist(), sizes[first], "approx")
+    reps = fl[first]
+    reps.flags.writeable = False
+    return MultiplicityProfile(reps, sizes[first], "approx")
 
 
 def _group_starts(s: np.ndarray) -> np.ndarray:

@@ -39,26 +39,30 @@ and the Fraction coefficients are built from them on each read.
 shifts n_i/d_i, two to a pass as one quadratic; each factor is
 primitive, so by Gauss's lemma so is the product, and h = k' is its
 integer derivative divided by its content.
-:func:`gcd` takes the gcd of two such vectors modulo a fixed sequence of
-primes below 2**30 (Brown's multi-prime algorithm), so that a residue is
-one digit of a CPython integer and a product of two stays below 2**60,
-and combines the monic images by Chinese remaindering and rational
-reconstruction.  The result is exact, not probable: a prime that divides
-neither leading coefficient gives an image whose degree bounds the
-degree of the true gcd from above, and a candidate of that degree is
-returned only after it divides both inputs exactly over the integers,
-checked by a long division whose every step is one dot product, which
-makes it a common divisor of the largest possible degree.
+:func:`gcd` takes the gcd of two such vectors modulo the primes below
+2**30, largest first (Brown's multi-prime algorithm), so that a residue
+is one digit of a CPython integer and a product of two stays below
+2**60; the primes are sieved in windows of 2**16 integers counted down
+from 2**30, each window once per process.  It combines the monic images
+by Chinese remaindering and rational reconstruction.  The result is
+exact, not probable: a prime that divides neither leading coefficient
+gives an image whose degree bounds the degree of the true gcd from
+above, and a candidate of that degree is returned only after it
+divides both inputs exactly over the integers, checked by a long
+division whose every step is one dot product, which makes it a common
+divisor of the largest possible degree.
 :func:`root_multiplicity` deflates the integer vector by synthetic
 division.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -343,53 +347,40 @@ def build_h(c: Sequence) -> Poly:
     return build_k(c).derivative()
 
 
-# The 64 largest primes below 2**30, written as their distance below
-# 2**30.  A residue modulo one of them is a single 30-bit digit of a
-# CPython integer, where arithmetic takes its fast path, and a product of
-# two residues stays below 2**60.
-_PRIMES = tuple((1 << 30) - d for d in (
-    35, 41, 83, 101, 105, 107, 135, 153, 161, 173, 203, 257, 263, 297, 321, 347,
-    357, 383, 405, 425, 437, 443, 453, 495, 513, 515, 537, 587, 611, 627, 635, 651,
-    723, 747, 777, 861, 873, 891, 915, 945, 971, 977, 1005, 1017, 1031, 1041, 1043,
-    1127, 1131, 1133, 1175, 1215, 1253, 1257, 1281, 1283, 1287, 1295, 1301, 1307,
-    1323, 1335, 1347, 1361,
-))
-
-# Miller-Rabin with these bases decides primality for every n below
-# 3 215 031 751 (Pomerance, Selfridge and Wagstaff, Math. Comp. 35,
-# 1980), which covers every candidate _primes() tests: all lie below 2**30.
-_WITNESSES = (2, 3, 5, 7)
+# The gcd's primes: every prime below 2**30, largest first.  A residue
+# modulo one of them is a single 30-bit digit of a CPython integer, where
+# arithmetic takes its fast path, and a product of two residues stays
+# below 2**60.  They are sieved in windows of 2**16 integers counted down
+# from 2**30, by the primes below 2**15: every composite below 2**30 has
+# a prime factor there.
+_WINDOW = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
-    for q in _WITNESSES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+@functools.cache
+def _prime_window(top: int) -> tuple[int, ...]:
+    """The primes in [top - 2**16, top), largest first, for a multiple
+    ``top`` of 2**16 up to 2**30.  Cached: every gcd reads the same
+    windows.  Under threads a window may be sieved twice, always to the
+    same tuple."""
+    low = top - _WINDOW
+    small = bytearray([1]) * (1 << 15)
+    for q in range(2, math.isqrt(1 << 15) + 1):
+        if small[q]:
+            small[q * q::q] = bytes(len(range(q * q, 1 << 15, q)))
+    window = bytearray([1]) * _WINDOW
+    if not low:
+        window[:2] = b"\0\0"
+    for q in compress(range(2, 1 << 15), small[2:]):
+        # the multiples of q in the window, from q*q on
+        start = max(q * q, -(-low // q) * q) - low
+        window[start::q] = bytes(len(range(start, _WINDOW, q)))
+    return tuple(compress(range(top - 1, low - 1, -1), reversed(window)))
 
 
 def _primes():
-    """The gcd's primes in their fixed order: the table, then every
-    smaller prime in turn, for inputs whose gcd needs more."""
-    yield from _PRIMES
-    n = _PRIMES[-1] - 2
-    while True:
-        if _is_prime(n):
-            yield n
-        n -= 2
+    """The gcd's primes in their fixed order, window after window."""
+    for top in range(1 << 30, 0, -_WINDOW):
+        yield from _prime_window(top)
 
 
 def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -492,16 +483,16 @@ def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor, by Brown's multi-prime algorithm.
 
     It works on the primitive integer vectors A and B that the inputs
-    hold.  For each prime in a fixed sequence of primes below 2**30 that
-    divides neither leading coefficient, the gcd of the images mod p has
-    degree at least deg gcd(A, B): degree 0 proves the gcd is 1, a higher
-    degree than the lowest seen marks an unlucky prime, which is
-    dropped, and a lower one discards the images gathered so far.  The
-    monic images of the lowest degree are combined by Chinese
-    remaindering and rational reconstruction, and a candidate is
-    returned only when it divides A and B exactly over the integers; a
-    common divisor of the largest possible degree is the gcd.  The
-    result is exact and deterministic.
+    hold.  The primes are every prime below 2**30, largest first, as
+    :func:`_prime_window` sieves them.  For each that divides neither
+    leading coefficient, the gcd of the images mod p has degree at least
+    deg gcd(A, B): degree 0 proves the gcd is 1, a higher degree than
+    the lowest seen marks an unlucky prime, which is dropped, and a
+    lower one discards the images gathered so far.  The monic images of
+    the lowest degree are combined by Chinese remaindering and rational
+    reconstruction, and a candidate is returned only when it divides A
+    and B exactly over the integers; a common divisor of the largest
+    possible degree is the gcd.  The result is exact and deterministic.
 
     The leading coefficients that one lift reconstructs stand while
     each new image agrees with them, and the next lift starts after

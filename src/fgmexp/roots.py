@@ -59,9 +59,9 @@ class RootSet:
 
     ``residuals`` are relative backward errors: |p(root)| divided by
     sum_j |a_j| |root|^j, the magnitude scale of the coefficients at the
-    root.  Multiplicities always sum to the degree.  ``converged`` is
-    False only when the eigenvalue iteration failed, in which case the
-    partial results (possibly none) are still reported.
+    root.  Multiplicities sum to the degree, except when the eigenvalue
+    iteration failed: then ``converged`` is False and no roots are
+    reported.
     """
 
     roots: tuple[complex, ...]

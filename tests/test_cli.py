@@ -48,6 +48,12 @@ class TestSample:
         assert err.value.code == 2
         assert not out.exists()
 
+    def test_negative_exponent_theta_is_a_value(self, tmp_path, capsys):
+        code, doc = run_cli(capsys, "sample", "--n", "3", "--theta", "-1e-3", "--seed", "1",
+                            "--out", str(tmp_path / "f.csv"))
+        assert code == 0
+        assert doc["theta"] == -1e-3
+
     def test_rejects_zero_n(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["sample", "--n", "0", "--theta", "0", "--seed", "1", "--out", str(tmp_path / "x.csv")])
@@ -224,6 +230,22 @@ class TestMlDegree:
         code, doc = run_cli(capsys, "mldegree", "--c", "-9/12", "-3/4", "5")
         assert code == 0
         assert doc["n"] == 3 and doc["p"] == 2  # -9/12 == -3/4
+
+    @pytest.mark.parametrize("c", [
+        ["-1.5", "-1.5", "2"],
+        ["-1e-3", "-1e-3", "2"],
+        ["-.5", "-.5", "2"],
+        ["2", "-1.5", "-1.5"],
+        ["-9/12", "-9/12", "5"],
+    ])
+    def test_negative_decimal_and_exponent_literals_are_values(self, capsys, c):
+        # a token of "-" and a digit, or "-." and a digit, is a value, not
+        # an option, wherever it stands; the repeated value is reported
+        # as its common zero
+        code, doc = run_cli(capsys, "mldegree", "--c", *c)
+        assert code == 0
+        value = min(c, key=polynomials.parse_rational)
+        assert doc["common_zeros"] == [{"value": str(-polynomials.parse_rational(value)), "mult": 1}]
 
     def test_all_equal_is_an_answer_not_a_failure(self, capsys):
         code, doc = run_cli(capsys, "mldegree", "--c", "3", "3", "3", "3")

@@ -81,7 +81,7 @@ def outcome(call, *args):
     if isinstance(result, dict):
         return ("returned", json.dumps(result, sort_keys=True))
     if isinstance(result, mldegree.MultiplicityProfile):
-        return ("returned", result.mode, repr(result.values), result.mults.tolist())
+        return ("returned", result.mode, repr(list(result.values)), result.mults.tolist())
     if hasattr(result, "to_json_dict"):
         return ("returned", json.dumps(result.to_json_dict(), sort_keys=True))
     return ("returned", repr(result))

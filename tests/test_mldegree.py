@@ -79,13 +79,22 @@ class TestProfile:
         assert list(zip(prof.values, prof.mults)) == [(F(1), 2), (F(2), 1)]
         assert prof.mode == "exact"
 
-    @pytest.mark.parametrize("c,kind", [([F(1), F(1), F(2)], F), ([2.0, 2.0, 3.0], float)])
+    @pytest.mark.parametrize("c,kind", [([F(1), F(1), F(2)], F), ([2.0, 2.0, 3.0], np.float64)])
     def test_columns(self, c, kind):
         prof = profile(c)
         assert all(type(v) is kind for v in prof.values)
         assert prof.mults.dtype == np.int64
         with pytest.raises(ValueError):
             prof.mults[0] = 1
+
+    def test_float_representatives_are_a_read_only_array(self):
+        c = np.array([2.0, 2.0, 3.0])
+        prof = profile(c)
+        assert isinstance(prof.values, np.ndarray) and prof.values.dtype == np.float64
+        with pytest.raises(ValueError):
+            prof.values[0] = 1.0
+        # the representatives are a copy: the input stays as it was
+        assert c.flags.writeable and not np.shares_memory(c, prof.values)
 
     def test_all_distinct(self):
         prof = profile([F(2), F(-4)])
@@ -117,7 +126,7 @@ class TestProfile:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             prof = profile([1e308, -1e308, 1e308, -1.7976931348623157e308])
-        assert prof.values == [1e308, -1e308, -1.7976931348623157e308]
+        assert prof.values.tolist() == [1e308, -1e308, -1.7976931348623157e308]
         assert prof.mults.tolist() == [2, 1, 1]
 
     def test_approx_transitive_closure_is_a_partition(self):

@@ -116,6 +116,13 @@ class TestDataset:
         assert a != Dataset.from_arrays([0.1, LN2], [0.2, 0.5])
         assert len({a, b, Dataset.from_arrays([0.1, LN2], [0.2, 0.5])}) == 2
 
+    def test_a_dataset_equals_no_other_type(self):
+        # __eq__ leaves any other type to it, so a dataset equals neither
+        # its columns nor a tuple of them
+        a = Dataset.from_arrays([0.1, 2.0], [0.2, 0.4])
+        assert a.__eq__((a.x, a.y)) is NotImplemented
+        assert a != (a.x, a.y) and a != "a"
+
     def test_negative_zero_is_zero(self):
         # a valid coordinate; equal by value, so the hash must not see its sign bit
         neg = Dataset.from_arrays([-0.0], [1.0])

@@ -177,6 +177,10 @@ class TestPoly:
         assert Poly((0, 0, 10**400)).derivative().coeffs == (0, 2 * 10**400)
         assert Poly((10**400, F(1, 10**10))).monic().coeffs == (10**410, 1)
 
+    def test_zero_polynomial_has_no_monic_form(self):
+        with pytest.raises(ValueError, match="^the zero polynomial has no monic form$"):
+            Poly(()).monic()
+
     def test_derivative_examples(self):
         assert Poly((F(-8), F(-2), F(1))).derivative().coeffs == (F(-2), F(2))
         assert Poly((F(7),)).derivative().is_zero
@@ -337,18 +341,18 @@ class TestGcd:
         assert got.coeffs == tuple(F(int(c.p), int(c.q)) for c in reversed(want.all_coeffs()))
 
     def test_primes_are_the_largest_below_two_to_the_30(self):
-        # 400 primes run well past the table into the Miller-Rabin
-        # candidates, and the sweep checks the primality test on the top
-        # 200 000 numbers, where those candidates come from first
-        primes = list(itertools.islice(polynomials._primes(), 400))
-        assert primes[0] == sympy.prevprime(2**30)
-        assert all(sympy.isprime(q) for q in primes)
-        assert all(sympy.prevprime(hi) == lo for hi, lo in zip(primes, primes[1:]))
-        for n in range(2**30 - 200_000 + 1, 2**30, 2):
-            assert polynomials._is_prime(n) == sympy.isprime(n), n
-        # the smallest strong pseudoprimes to the bases {2}, {2, 3} and
-        # {2, 3, 5}: each witness in the set is needed
-        assert not any(map(polynomials._is_prime, (2047, 1373653, 25326001)))
+        # the prevprime chain from 2**30 runs past the end of the first
+        # sieve window into the second
+        first = polynomials._prime_window(2**30)
+        primes = list(itertools.islice(polynomials._primes(), len(first) + 200))
+        chain = [sympy.prevprime(2**30)]
+        while len(chain) < len(primes):
+            chain.append(sympy.prevprime(chain[-1]))
+        assert primes == chain
+        assert primes[len(first)] < 2**30 - 2**16 < primes[len(first) - 1]
+        # the last window, where the sieving primes must stay and 0 and 1
+        # must go
+        assert list(polynomials._prime_window(2**16)) == list(sympy.primerange(2**16))[::-1]
 
     @pytest.mark.parametrize("unlucky", [(0, 1, 2), (1, 2), (3,)])
     def test_unlucky_primes_are_dropped(self, unlucky):
@@ -357,7 +361,8 @@ class TestGcd:
         # the true gcd, theta - 3**130, has degree 1; its 207-bit root
         # takes about fourteen primes, so unlucky primes after lucky ones
         # are met too
-        big = math.prod(polynomials._PRIMES[i] for i in unlucky)
+        primes = list(itertools.islice(polynomials._primes(), 4))
+        big = math.prod(primes[i] for i in unlucky)
         a = build_k([F(-3**130), F(-1)])
         b = build_k([F(-3**130), F(-1 - big)])
         assert gcd(a, b).coeffs == (F(-3**130), F(1))
@@ -366,7 +371,7 @@ class TestGcd:
         # modulo p the factor (p theta + 1) drops to the constant 1, so the
         # image of the gcd loses a degree; that prime must not set the
         # degree bound, or no candidate would ever pass
-        p = polynomials._PRIMES[0]
+        p = next(polynomials._primes())
         shared = Poly((F(1), F(p)))  # p theta + 1
         a = multiply(shared, build_k([F(-2), F(-3)]))
         b = multiply(shared, build_k([F(-2), F(5)]))
@@ -374,8 +379,7 @@ class TestGcd:
 
     def test_gcd_needing_more_primes_than_the_table(self, monkeypatch):
         # rational reconstruction needs a modulus above twice the square
-        # of the 4300-bit coefficient: about 290 primes, past the 64 of
-        # the table
+        # of the 4300-bit coefficient: about 290 primes
         used = []
         real = polynomials._gcd_mod
         monkeypatch.setattr(polynomials, "_gcd_mod", lambda a, b, p: used.append(p) or real(a, b, p))
@@ -383,7 +387,7 @@ class TestGcd:
         a = multiply(g, build_k([F(1)]))
         b = multiply(g, build_k([F(-1, 2)]))
         assert gcd(a, b) == g
-        assert min(used) < polynomials._PRIMES[-1]
+        assert len(used) > 64
 
     @pytest.mark.parametrize("values", [
         ([F(10**130, 7)] * 6 + [F(3), F(-1, 2)], [F(10**130, 7)] * 5 + [F(2)]),
