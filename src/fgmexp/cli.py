@@ -161,10 +161,12 @@ def run_campaign(
 
     Each trial draws a size n in [2, n_max], a repetition pattern (forced
     via ``patterns`` or random), and distinct random rationals to fill
-    it, then runs the three checks of :func:`_trial_checks`.  The
-    all-equal shape is recorded as skipped, since no ML-degree is defined
-    there.  Failure records carry the full shift list for reproduction
-    and are sorted before emission.
+    it, then runs the three checks of :func:`_trial_checks`.  A forced
+    shape raises n to its size, sum(shape), plus one for a single group,
+    so such a trial can run above ``n_max``, while ``n_range`` still
+    reports [2, n_max].  The all-equal shape is recorded as skipped,
+    since no ML-degree is defined there.  Failure records carry the full
+    shift list for reproduction and are sorted before emission.
 
     ``trials`` and ``n_max`` are integers (an int, a bool or a numpy
     integer), ``trials >= 1`` and ``n_max >= 2``, checked by the one
@@ -361,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         type=_pattern_arg,
         help="force repetition shapes, e.g. '2,2' or '3'; 'n' means all equal "
-        "(repeatable; default draws a random shape per trial)",
+        "(repeatable; default draws a random shape per trial); a trial grows "
+        "to hold its shape, above --n-max if need be",
     )
     p.set_defaults(func=cmd_verify)
     # a token that starts with "-" and a digit, or "-." and a digit, is a

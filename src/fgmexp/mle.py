@@ -6,8 +6,9 @@ concave on (-1, 1), so there are only two outcomes:
 * the score changes sign inside the interval: its unique zero is the
   global maximizer;
 * otherwise: the likelihood is monotone on the interval, and the
-  maximizer is the endpoint that the sign of the score at 0, the sign
-  of sum(w_i), points to.
+  maximizer is the endpoint that the sign of the score at 0, the exact
+  sign of the sum of the given weights, points to.  The sign is exact
+  for those float weights, not for the data they were rounded from.
 
 Observations with zero weight contribute a constant to the likelihood
 and are dropped; a dataset with nothing left has a flat likelihood and
@@ -84,12 +85,12 @@ def fit_from_weights(weights: Sequence[float]) -> FitResult:
     else:
         # each log(1 + theta w_i) is strictly concave, so a score with no
         # zero in (-1, 1) keeps the sign it has at 0 and the likelihood
-        # rises toward that endpoint; that sign is never 0 here, as the
-        # search returns 0.0 for a zero sum.  No weight is -theta here:
-        # its term is -1e12 at the search's bracket, 1e-12 inside theta,
-        # which outweighs fewer than 2e12 other terms of at most 1/2 each
-        # and so gives a root
-        theta = 1.0 if np.add.reduce(eff) > 0.0 else -1.0
+        # rises toward that endpoint; that sign, the exact sign of the sum
+        # of the weights, is never 0 here, as the search returns 0.0 for
+        # a zero sum.  No weight is -theta here: its term is -1e12 at the
+        # search's bracket, 1e-12 inside theta, which outweighs fewer than
+        # 2e12 other terms of at most 1/2 each and so gives a root
+        theta = 1.0 if roots._exact_sign_sum(eff, np.add.reduce(eff), n_eff) > 0.0 else -1.0
     return FitResult(
         theta_hat=theta,
         loglik=_log_likelihood(eff, theta),
@@ -107,6 +108,7 @@ def fit(data: Dataset) -> FitResult:
     identically).  A sign change of the score yields the unique interior
     root.  Failing that, the likelihood is monotone and the result is
     the boundary +1 when the remaining weights sum to a positive value,
-    -1 when they sum to a negative one.
+    -1 when they sum to a negative one, by the exact sign of their sum,
+    not of its float rounding.
     """
     return fit_from_weights(data.weights)

@@ -46,10 +46,6 @@ __all__ = [
 THETA_MIN = -1.0
 THETA_MAX = 1.0
 
-# Below this magnitude the conditional quantile is evaluated at its
-# exact limit to sidestep the degenerate quadratic.
-_SMALL_DEPENDENCE = 1e-12
-
 
 class PoleError(ArithmeticError):
     """Score evaluation hit a pole: some 1 + theta*w_i is exactly zero."""
@@ -348,11 +344,11 @@ def sample(n: int, theta: float, seed: int) -> Dataset:
     solves the conditional cdf quadratic A*v^2 - (1+A)*v + t = 0 with
     A = theta*(1 - 2u), taking the branch that is continuous in A.  The
     quotient is evaluated in rationalized form, 2t / ((1+A) + sqrt(D)),
-    which is the same root without subtractive cancellation; below
-    |A| = 1e-12 the exact limit v = t is used.  The n values of u and
-    then the n values of t are the stream of one draw of 2n open
-    uniforms.  Marginals are standard exponential and results depend
-    only on (n, theta, seed).
+    which is the same root without subtractive cancellation and is
+    exactly t at A = 0, so one expression serves every draw.  The n
+    values of u and then the n values of t are the stream of one draw
+    of 2n open uniforms.  Marginals are standard exponential and results
+    depend only on (n, theta, seed).
 
     The draws fill one (2n,) float64 buffer, which becomes the dataset's
     (2, n) coordinates without a copy: the first draw takes u and the
@@ -383,9 +379,8 @@ def sample(n: int, theta: float, seed: int) -> Dataset:
         a = t * (1.0 - 2.0 * u)
         b = 1.0 + a
         disc = np.maximum(b ** 2 - 4.0 * a * tdraw, 0.0)
-        v_quad = 2.0 * tdraw / (b + np.sqrt(disc))
-        # v overwrites t where the quadratic is not degenerate
-        np.copyto(tdraw, v_quad, where=np.abs(a) >= _SMALL_DEPENDENCE)
+        # v overwrites t
+        np.divide(2.0 * tdraw, b + np.sqrt(disc), out=tdraw)
     # x = -log1p(-u) and y = -log1p(-v), in place over both halves
     np.negative(buf, out=buf)
     np.log1p(buf, out=buf)

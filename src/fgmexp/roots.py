@@ -17,15 +17,20 @@ maximum-likelihood root is its one zero in the pole gap that contains
 lies; a negative sign is handled by negating the weights and the
 result, which makes the fitted root flip sign exactly when every weight
 is negated.  On the positive side the bracket ends at +1, or 1e-12
-short of it when a weight of exactly -1 puts a pole there.  Newton's
-method from 0 (where every term is its weight, so the score is the sum
-already taken), kept inside the bracket found so far, stops by the
-relative rule of LAPACK ``dlaed4`` (Bunch, Nielsen and Sorensen, Numer.
-Math. 31, 1978): once |score| is within a few rounding units of the sum
-of the magnitudes of its terms, which is as close as a sum of n rounded
-terms can resolve.  Each Newton pass writes the terms q_i into row 0 of
-one (3, n) buffer, q_i**2 into row 1 and |q_i| into row 2, and a single
-reduction over the rows gives the score, minus its slope, and its scale.
+short of it when a weight of exactly -1 puts a pole there.  Both signs,
+at 0 and at that end, are the exact signs of the sums of the rounded
+terms: the float sum is kept when it exceeds its rounding error bound,
+and ``math.fsum`` decides when it does not.  That makes them exact for
+the given float weights, not for the exact score of the data the
+weights were rounded from.  Newton's method from 0 (where every term
+is its weight, so the score is the sum already taken), kept inside the
+bracket found so far, stops by the relative rule of LAPACK ``dlaed4``
+(Bunch, Nielsen and Sorensen, Numer. Math. 31, 1978): once |score| is
+within a few rounding units of the sum of the magnitudes of its terms,
+which is as close as a sum of n rounded terms can resolve.  Each Newton
+pass writes the terms q_i into row 0 of one (3, n) buffer, q_i**2 into
+row 1 and |q_i| into row 2, and a single reduction over the rows gives
+the score, minus its slope, and its scale.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ _ENDPOINT_OFFSET = 1e-12  # inward move of the bracket's end at a pole
 # units of the sum of the magnitudes of its terms
 STOP_REL = 8.0 * np.finfo(float).eps
 MAX_ITER = 200
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 OUT_OF_RANGE = "the root census needs coefficients and residual scales within the float range"
 
 
@@ -174,14 +180,36 @@ def _pass(w: np.ndarray, theta: float, buf: np.ndarray) -> tuple[float, float, f
     return _sums(buf)
 
 
+def _exact_sign_sum(terms: np.ndarray, s: float, scale: float) -> float:
+    """A float with the sign of the exact sum of ``terms``: their float
+    sum ``s`` when |s| > gamma_2n * ``scale``, else their correctly
+    rounded sum by ``math.fsum`` (Shewchuk, Discrete Comput. Geom. 18,
+    1997), which is zero only when the exact sum is.  ``scale`` is an
+    upper bound on sum |terms|; sum |terms| itself is reduced only when
+    that bound does not decide."""
+    # any order of summing n floats is off by at most gamma_(n-1) times
+    # sum |terms| (Higham, Accuracy and Stability, 2nd ed., sec. 4.2);
+    # gamma_2n also covers the rounding of the computed sum |terms|,
+    # which can fall short of the true one by gamma_(n-1) of itself
+    k = 2 * terms.size * _UNIT_ROUNDOFF
+    gamma = k / (1.0 - k)
+    if abs(s) > gamma * scale or abs(s) > gamma * np.add.reduce(np.abs(terms)):
+        return s
+    return math.fsum(terms.tolist())
+
+
 def _positive_root(w: np.ndarray, f0: float) -> float | None:
     """The root on (0, 1) of a score that is positive at 0, where it
     equals ``f0`` = sum(w_i), or None."""
+    w_min = np.minimum.reduce(w)
     # 1 + w is zero only for a weight of exactly -1: near -1 the sum is
     # exact (Sterbenz), and elsewhere it is far from zero
-    hi = 1.0 - _ENDPOINT_OFFSET if np.minimum.reduce(w) == -1.0 else 1.0
-    # the score decreases, so f(-1) > f(0) > 0: only +1 can bound a root
-    if not np.add.reduce(w / (1.0 + hi * w)) < 0.0:
+    hi = 1.0 - _ENDPOINT_OFFSET if w_min == -1.0 else 1.0
+    # the score decreases, so f(-1) > f(0) > 0: only +1 can bound a root;
+    # no rounded term exceeds 1 / min(1, 1 + hi * w_min) in magnitude
+    q = w / (1.0 + hi * w)
+    f_hi = _exact_sign_sum(q, np.add.reduce(q), w.size / min(1.0, 1.0 + hi * w_min))
+    if not f_hi < 0.0:
         return None
     # at theta = 0 every term is w_i itself, and their sum is f0
     buf = np.empty((3, w.size))
@@ -210,24 +238,30 @@ def score_root_from_weights(w: np.ndarray) -> float | None:
     """The unique zero of the score on (-1, 1), or None when there is none.
 
     The score f(theta) = sum w_i / (1 + theta w_i) is strictly decreasing
-    wherever some weight is nonzero.  A score of exactly zero at 0 makes
-    0 the root.  A negative one is handled by solving for the negated
-    weights and negating the result, so the root of -w is exactly minus
-    the root of w.  A positive one puts the root in (0, 1), and only when
-    the score is negative at +1, moved 1e-12 inward when a weight of
-    exactly -1 makes it a pole; otherwise the maximum sits on the
-    boundary and None is returned.  The root is found by Newton's method
-    from 0, each step kept strictly inside the bracket the signs of the
-    score have shown or replaced by the bracket's midpoint.  The search
-    stops once |f| <= :data:`STOP_REL` * sum |w_i / (1 + theta w_i)|,
-    where the rounding error of the computed score can hide its sign, or
-    once the bracket has no float strictly inside.  Raises ValueError for
+    wherever some weight is nonzero.  The signs of the score at 0 and at
+    +1 are the exact signs of the sums of the rounded terms (the limit:
+    exact for the given float weights, not for the data they were
+    rounded from).  A score of exactly zero at 0 makes 0 the root.  A
+    negative one is handled by solving for the negated weights and
+    negating the result, so the root of -w is exactly minus the root of
+    w.  A positive one puts the root in (0, 1), and only when the score
+    is negative at +1, moved 1e-12 inward when a weight of exactly -1
+    makes it a pole; otherwise the maximum sits on the boundary and None
+    is returned.  The root is found by Newton's method from 0, each step
+    kept strictly inside the bracket the signs of the score have shown
+    or replaced by the bracket's midpoint.  The search stops once
+    |f| <= :data:`STOP_REL` * sum |w_i / (1 + theta w_i)|, where the
+    rounding error of the computed score can hide its sign, or once the
+    bracket has no float strictly inside.  A nonzero score at 0 that
+    already meets that rule leaves the search at 0: the root is 0.0,
+    or -0.0 when the score at 0 is negative.  Raises ValueError for
     weights that are not one-dimensional bools, integers or floats, for
     a weight that is not finite or lies outside [-1, 1], or when no
     weight is nonzero.
     """
     w = validate_weights(w)
-    f0 = float(np.add.reduce(w))
+    # every |w_i| <= 1, so n bounds sum |w_i|
+    f0 = _exact_sign_sum(w, float(np.add.reduce(w)), w.size)
     if f0 == 0.0:
         if not w.any():
             raise ValueError("score root needs at least one nonzero weight")

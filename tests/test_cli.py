@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fgmexp import mldegree, model, polynomials
+from fgmexp import cli, mldegree, model, polynomials
 from fgmexp.cli import main, run_campaign
 
 
@@ -366,6 +366,17 @@ class TestVerify:
         assert campaign.passed
         assert campaign.checks_run > 0
         assert len(calls) == campaign.checks_run
+
+    @pytest.mark.parametrize("shape,n", [((2, 2, 2), 6), ((5,), 6)])
+    def test_a_forced_shape_can_raise_a_trial_above_n_max(self, monkeypatch, shape, n):
+        # the trial grows to hold the shape, plus one singleton for a lone
+        # group, while the report keeps the drawn range [2, n_max]
+        sizes = []
+        real = cli._trial_checks
+        monkeypatch.setattr(cli, "_trial_checks", lambda c: sizes.append(len(c)) or real(c))
+        campaign = run_campaign(1, 3, 1, [shape])
+        assert (campaign.checks_run, sizes) == (1, [n])
+        assert campaign.to_json_dict()["n_range"] == [2, 3]
 
     def test_campaign_api_records_failures_sorted(self):
         campaign = run_campaign(30, 6, 123)

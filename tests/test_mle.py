@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ def test_boundary_fit_takes_the_endpoint_the_sum_points_to(w):
     res = fit_from_weights(w)
     assume(res.at_boundary)
     eff = w[w != 0.0]
-    assert res.theta_hat == (1.0 if eff.sum() > 0.0 else -1.0)
+    assert res.theta_hat == (1.0 if math.fsum(eff) > 0.0 else -1.0)
     # a weight of -theta_hat would make the boundary a pole, whose -inf
     # score just inside it always gives a root instead; so the loglik is
     # taken at the endpoint itself
@@ -236,20 +237,46 @@ def test_boundary_fit_takes_the_endpoint_the_sum_points_to(w):
     assert mine >= other - slack
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="FOUND: the sign of the score at 0 comes from the float sum of the "
-                   "weights, which cancels below its rounding error here")
 def test_boundary_fit_follows_the_exact_sign_of_a_cancelling_sum():
     # the weights sum to -7.07e-37 exactly but to +1.50e-36 in floating
-    # point, so the fit returns +1, where -1 has the larger
-    # log-likelihood; an exact sign at 0 alone does not mend it, as the
-    # score sums of the root search cancel the same way
+    # point, where -1 has the larger log-likelihood; an exact sign at 0
+    # alone does not decide it, as the score sum at the search's +1
+    # end cancels the same way
     u = np.spacing(1e-20)
     w = np.array([1e-20, -0.49 * u, -0.49 * u, -0.49 * u, -(1e-20 - u)])
-    # the premises fail the test outright, not as the expected failure
+    # the premises fail the test outright
     if not (math.fsum(w) < 0.0 < w.sum() and math.fsum(np.log1p(-w)) > math.fsum(np.log1p(w))):
         pytest.fail("the weights no longer cancel as described")
     assert fit_from_weights(w).theta_hat == -1.0
+    assert fit_from_weights(-w).theta_hat == 1.0
+
+
+def _cancelling_weights():
+    """Weight vectors whose exact sum is that of a few small weights,
+    hidden from a float sum by pairs +-a of larger ones, in a drawn
+    order."""
+    pairs = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6)
+    small = st.lists(st.builds(lambda v, k: math.ldexp(v, -k), st.floats(-1.0, 1.0),
+                               st.integers(20, 1100)), min_size=1, max_size=4)
+    return st.tuples(pairs, small).flatmap(
+        lambda ps: st.permutations(ps[0] + [-a for a in ps[0]] + ps[1])).map(np.array)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cancelling_weights())
+def test_fit_takes_the_side_of_the_exact_sum_of_the_weights(w):
+    # a boundary fit takes the endpoint the exact sum points to, and an
+    # interior root lies on that side of 0, a zero root signed as it is
+    assume(np.any(w))
+    exact = sum(map(Fraction, w.tolist()))
+    res, neg = fit_from_weights(w), fit_from_weights(-w)
+    assert neg.theta_hat == -res.theta_hat
+    if res.at_boundary:
+        assert res.theta_hat == (1.0 if exact > 0 else -1.0)
+    elif exact == 0:
+        assert res.theta_hat == 0.0
+    else:
+        assert math.copysign(1.0, res.theta_hat) == (1.0 if exact > 0 else -1.0)
 
 
 class TestEquivariance:

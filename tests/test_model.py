@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -367,6 +368,24 @@ class TestSample:
     def test_exponential_marginal_ks(self):
         ds = sample(20000, 0.8, 11)
         assert stats.kstest(ds.x, "expon").statistic < 0.02
+
+    @pytest.mark.parametrize("theta", [5e-13, -5e-13, 1e-13])
+    def test_tiny_dependence_matches_a_50_digit_root(self, theta):
+        # the conditional quantile v against the root 2t/((1 + A) + sqrt(D))
+        # taken to 50 digits on the same (u, t) draws, through
+        # y = -log1p(-v): 4 eps relative in v, carried by dy/dv = 1/(1 - v),
+        # plus 4 eps relative in y for log1p; at these A, v and t differ by
+        # up to about 5e-13 relative, so t in place of v fails the bound
+        n, seed = 2000, 2025
+        draws = np.random.default_rng(seed).integers(1, 1 << 53, size=2 * n) * 0.5**53
+        got = sample(n, theta, seed).y.tolist()
+        with mpmath.workdps(50):
+            for u, t, y in zip(draws[:n].tolist(), draws[n:].tolist(), got):
+                a = mpmath.mpf(theta) * (1 - 2 * mpmath.mpf(u))
+                v = 2 * t / ((1 + a) + mpmath.sqrt((1 + a) ** 2 - 4 * a * t))
+                want = -mpmath.log1p(-v)
+                bound = 4.0 * np.finfo(float).eps * (float(v) / (1.0 - float(v)) + float(want))
+                assert abs(y - want) <= bound
 
     def test_correlation_tracks_association(self):
         # empirical correlation approximates theta/4 (constant confirmed by

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fgmexp import roots
-from fgmexp.mle import fit
+from fgmexp.mle import fit, fit_from_weights
 from fgmexp.model import Dataset, c_shift, sample
 from fgmexp.polynomials import Poly, build_h
 from fgmexp.roots import complex_roots, score_root_from_weights
@@ -202,6 +202,35 @@ class TestScoreRoot:
         # gives +-0.7307692307692308 here
         assert score_root_from_weights(np.array([-1.0] + [0.4] * 12)) == 0.7307692307692307
         assert score_root_from_weights(np.array([1.0] + [-0.4] * 12)) == -0.7307692307692307
+
+    @pytest.mark.parametrize("w", [[1.0, 1e-20, -1.0], [0.5, -0.5, 1e-30]])
+    def test_a_nonzero_sum_within_the_stopping_rule_gives_a_signed_zero(self, w):
+        # the weights sum to +1e-20 or +1e-30 exactly (the float sum of the
+        # first is 0.0), and +1 bounds a root; the score at 0 already meets
+        # the stopping rule, so the search stays there: 0.0, and -0.0 for
+        # the negated weights
+        w = np.array(w)
+        assert sum(map(F, w)) > 0
+        r, r_neg = score_root_from_weights(w), score_root_from_weights(-w)
+        assert (r, math.copysign(1.0, r)) == (0.0, 1.0)
+        assert (r_neg, math.copysign(1.0, r_neg)) == (0.0, -1.0)
+
+    def test_search_ends_when_the_bracket_holds_no_float(self):
+        # the exact root is 999/1001; the search ends on a bracket with no
+        # float strictly inside, short of the stopping rule, and its root
+        # is next to the exact one: the exact score of the given weights
+        # changes sign between it and one of its float neighbours
+        w = np.array([-1.0] + [1.0] * 1000)
+        r = score_root_from_weights(w)
+        assert r == 0.9980019980019981
+
+        def exact_score(theta):
+            return sum(F(v) / (1 + F(theta) * F(v)) for v in w.tolist())
+
+        here = exact_score(r)
+        assert any(exact_score(np.nextafter(r, side)) * here <= 0 for side in (-1.0, 1.0))
+        assert fit_from_weights(w).theta_hat == r
+        assert fit_from_weights(-w).theta_hat == -r
 
     @pytest.mark.parametrize("w", [[float("nan"), 0.5], [1.5, -0.9], [0.2, float("inf")]])
     def test_weight_outside_the_model_range_is_rejected(self, w):
