@@ -130,7 +130,14 @@ def profile(c: Sequence) -> MultiplicityProfile:
     float64 array, whose entries are ``np.float64``, a ``float``
     subclass.
     """
-    kind, shifts, values = polynomials._linear_factors(c)
+    return _profile(*polynomials._linear_factors(c))
+
+
+def _profile(kind: str, shifts: list | np.ndarray,
+             values: list | np.ndarray) -> MultiplicityProfile:
+    """:func:`profile` of the shifts as
+    :func:`~fgmexp.polynomials._linear_factors` read them: their kind,
+    their checked values and the values as given."""
     if kind == polynomials.RATIONAL:
         # (d, n) pairs of ints hash at C speed, where Fractions do not
         counts = Counter(shifts)
@@ -203,8 +210,10 @@ def ml_degree_algebraic(c: Sequence) -> int:
     Must agree with :func:`ml_degree_formula` on every input with rational
     values, and on float values wherever the tolerance of :func:`profile`
     merges no distinct floats; the pair of routes is the correctness
-    oracle for both.  The values are read by :func:`~fgmexp.polynomials.build_k`
-    alone, so this accepts what it accepts and raises what it raises:
+    oracle for both.  The values are read by
+    :func:`~fgmexp.polynomials._linear_factors`, the reader of
+    :func:`~fgmexp.polynomials.build_k`, so this accepts what that
+    accepts and raises what it raises:
     ScalarModeError for values of no kind, ValueError for no values or a
     zero value, or a float value that is not finite; and
     :class:`AllEqualError` when every value is equal.  A float value is
@@ -220,16 +229,19 @@ def ml_degree_algebraic(c: Sequence) -> int:
     for every i.  Conversely n equal values give h = n (theta + a)^(n-1),
     which divides k.
     """
-    return _algebraic_count_and_h(c)[0]
+    return _algebraic_count_and_h(*polynomials._linear_factors(c)[:2])[0]
 
 
-def _algebraic_count_and_h(c: Sequence) -> tuple[int, polynomials.Poly]:
-    """:func:`ml_degree_algebraic`'s count together with the h = k' it
-    built, for callers that also need h."""
-    k = polynomials.build_k(c)
+def _algebraic_count_and_h(kind: str, shifts: list | np.ndarray) -> tuple[int, polynomials.Poly]:
+    """:func:`ml_degree_algebraic`'s count of the shifts as
+    :func:`~fgmexp.polynomials._linear_factors` read them, their kind
+    and checked values, together with the h = k' it built, for callers
+    that also need h.  The gcd's degree is read off its primitive
+    integer vector."""
+    k = polynomials._build_k(kind, shifts)
     h = k.derivative()
     n = k.degree
-    count = int(h.degree - polynomials.gcd(h, k).degree)
+    count = n - len(polynomials._gcd_vector(h, k))
     if count == 0 and n >= 2:
         # k = (theta + a)^n, whose theta^(n-1) coefficient is n a
         raise AllEqualError(k.coeffs[-2] / n, n)
@@ -249,9 +261,9 @@ def ml_degree_report(c: Sequence) -> dict:
     tolerance dependent and generic continuous data has no repeats at
     all.  Raises :class:`AllEqualError` for the excluded all-equal case.
     """
-    if not isinstance(c, np.ndarray):
-        c = list(c)  # read once: both routes below consume it
-    prof = profile(c)
+    # read once: both routes below take what the reader returns
+    kind, shifts, values = polynomials._linear_factors(c)
+    prof = _profile(kind, shifts, values)
     md = ml_degree_formula(prof)
     doc = {
         "n": prof.n,
@@ -266,7 +278,7 @@ def ml_degree_report(c: Sequence) -> dict:
         "mode": prof.mode,
     }
     if prof.mode == "exact":
-        alg = ml_degree_algebraic(c)
+        alg = _algebraic_count_and_h(kind, shifts)[0]
         doc["oracle"] = {
             "formula": md,
             "algebraic": alg,

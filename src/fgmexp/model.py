@@ -462,8 +462,12 @@ def _parse_plain(raw: bytes, encoding: str) -> np.ndarray | None:
     holds a copy of the file: the alphabet test deletes the alphabet's
     bytes, which leaves nothing to write for a file that passes (CPython
     reserves a result as long as the input, but no page of it is
-    touched), and the field runs are scanned in overlapping windows of
-    ``_SCAN_WINDOW`` bytes plus the limit.
+    touched), and the field runs are first looked for in a sample of
+    every step-th byte, step = (limit + 1) // 512, about 1/256 of the
+    file at the default limit, where a field over the limit leaves a run
+    of at least (limit + 1) // step field bytes; only a sample that
+    holds one is followed by a scan of overlapping windows of
+    ``_SCAN_WINDOW`` bytes plus the limit (see :func:`_long_field`).
 
     Why both parsers agree when numpy succeeds: the alphabet has no
     quote, no underscore, no non-ASCII digit and no whitespace but the
@@ -494,9 +498,20 @@ def _parse_plain(raw: bytes, encoding: str) -> np.ndarray | None:
 
 def _long_field(raw: bytes, limit: int) -> bool:
     """Whether some run of field bytes in ``raw`` is longer than
-    ``limit``.  Each window starts ``_SCAN_WINDOW`` bytes after the last
-    and runs ``limit`` bytes past the next start, so a run of ``limit + 1``
-    bytes lies whole in the window where it starts."""
+    ``limit``.
+
+    A pre-filter rules most files out first.  With step =
+    (limit + 1) // 512, a run of limit + 1 field bytes covers at least
+    (limit + 1) // step consecutive bytes of ``raw[::step]``, which is
+    1/step of the file; so when that sample holds no run of field bytes
+    so long, no field is.  When it does, or when step is 1 and the
+    sample would be a copy of the file, the windowed scan decides: each
+    window starts ``_SCAN_WINDOW`` bytes after the last and runs
+    ``limit`` bytes past the next start, so a run of ``limit + 1`` bytes
+    lies whole in the window where it starts."""
+    step = (limit + 1) // 512
+    if step > 1 and b"a" * ((limit + 1) // step) not in raw[::step].translate(_FIELD_RUNS):
+        return False
     run = b"a" * (limit + 1)
     return any(run in raw[i:i + _SCAN_WINDOW + limit].translate(_FIELD_RUNS)
                for i in range(0, len(raw), _SCAN_WINDOW))

@@ -10,13 +10,16 @@ root census of :mod:`fgmexp.roots` rounds one once.
 
 The shift values c_i are read and checked by one reader,
 :func:`_linear_factors`, for :func:`build_k`,
-:func:`fgmexp.mldegree.profile` and the CLI's ``--c`` alike;
-:func:`fgmexp.mldegree.ml_degree_algebraic` reads them through
-:func:`build_k`.  Their kind is decided once, by :func:`scalar_kind`:
-a one-dimensional sequence whose values are all rational or all float;
-anything else, a mixture, a string, None, a complex value or a 2-D
-array among them, or an array of a dtype of neither kind, is
-:class:`ScalarModeError`.  Then one check per kind:
+:func:`fgmexp.mldegree.profile`,
+:func:`fgmexp.mldegree.ml_degree_algebraic` and the CLI's ``--c``
+alike.  An exact ML-degree report and each ``verify`` trial read their
+shifts once, and hand what the reader returns to the builders behind
+:func:`build_k` and :func:`fgmexp.mldegree.profile`, which are thin
+read-then-build wrappers.  Their kind is decided once, by
+:func:`scalar_kind`: a one-dimensional sequence whose values are all
+rational or all float; anything else, a mixture, a string, None, a
+complex value or a 2-D array among them, or an array of a dtype of
+neither kind, is :class:`ScalarModeError`.  Then one check per kind:
 there must be at least one value, an exact value must be nonzero, and a
 float value finite and nonzero.  A float shift is the dyadic rational
 it holds exactly, so :func:`build_k`, :func:`build_h` and the algebraic
@@ -50,7 +53,9 @@ gives an image whose degree bounds the degree of the true gcd from
 above, and a candidate of that degree is returned only after it
 divides both inputs exactly over the integers, checked by a long
 division whose every step is one dot product, which makes it a common
-divisor of the largest possible degree.
+divisor of the largest possible degree.  The algebraic count takes the
+degree of the gcd's primitive integer vector, so it builds no gcd
+polynomial.
 :func:`root_multiplicity` deflates the integer vector by synthetic
 division.
 """
@@ -62,7 +67,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -248,8 +253,9 @@ def _exact_pairs(values: Sequence) -> list[tuple[int, int]]:
     pairs = [(v.denominator, v.numerator) if isinstance(v, Fraction) else (1, int(v))
              for v in values]
     # a Fraction built from numpy integers keeps them as its parts, which
-    # would wrap in the exact arithmetic
-    if not all(type(d) is int is type(n) for d, n in pairs):
+    # would wrap in the exact arithmetic; the types of all parts in one
+    # pass at C speed
+    if not set(map(type, chain.from_iterable(pairs))) <= {int}:
         pairs = [(int(d), int(n)) for d, n in pairs]
     return pairs
 
@@ -319,6 +325,12 @@ def build_k(c: Sequence) -> Poly:
     raises the same errors.
     """
     kind, shifts, _ = _linear_factors(c)
+    return _build_k(kind, shifts)
+
+
+def _build_k(kind: str, shifts: list | np.ndarray) -> Poly:
+    """:func:`build_k` of shifts that :func:`_linear_factors` has read
+    and checked, given as its kind and checked values."""
     if kind != RATIONAL:
         shifts = [(d, n) for n, d in map(float.as_integer_ratio, shifts.tolist())]
     # the odd factor out first, then two factors per pass: multiply by
@@ -394,7 +406,11 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
             b0, a0 = b[0], a[0]
             c0 = (b0 * a[1] - a0 * b[1]) % p
             c1, c2 = b0 * a0 % p, b0 * b0 % p
-            a = [(c2 * x - c1 * y - c0 * z) % p for x, y, z in zip(a[2:], b[2:] + [0], b[1:])]
+            # the last entry apart, where b[2:] has no term; zip stops
+            # before it
+            last = (c2 * a[-1] - c0 * b[-1]) % p
+            a = [(c2 * x - c1 * y - c0 * z) % p for x, y, z in zip(a[2:], b[2:], b[1:])]
+            a.append(last)
         else:
             inv = pow(b[0], -1, p)
             while len(a) >= len(b):
@@ -500,21 +516,36 @@ def gcd(a: Poly, b: Poly) -> Poly:
     about once and fails about one reconstruction per image, where a
     lift from scratch after every image would redo all of them.  Every
     candidate is the one a lift from scratch would give.
+
+    This wraps :func:`_gcd_vector`, which returns the gcd as a primitive
+    integer vector.  The algebraic count of
+    :func:`fgmexp.mldegree.ml_degree_algebraic` takes the degree of that
+    vector and builds no gcd polynomial; an exact ML-degree report and
+    each ``verify`` trial read their shifts once, for that count and
+    the grouping alike.
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     if a.is_zero or b.is_zero:
         return (b if a.is_zero else a).monic()
+    g = _gcd_vector(a, b)
+    return _rational(g[::-1], Fraction(1, g[0]))
+
+
+def _gcd_vector(a: Poly, b: Poly) -> list[int]:
+    """The gcd of two nonzero polynomials, as :func:`gcd` finds it: its
+    primitive integer vector, descending coefficients, the leading one
+    positive."""
     big, small = sorted((a._vector[::-1], b._vector[::-1]), key=len, reverse=True)
     if len(small) == 1:
-        return _rational([1], Fraction(1))
+        return [1]
     size = None  # length of the lowest-degree images so far
     for p in _primes():
         if big[0] % p == 0 or small[0] % p == 0:
             continue
         image = _gcd_mod([x % p for x in big], [x % p for x in small], p)
         if len(image) == 1:
-            return _rational([1], Fraction(1))
+            return [1]
         if size is not None and len(image) > size:
             continue
         if size is None or len(image) < size:
@@ -531,7 +562,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
         modulus *= p
         candidate = _lift(residues, modulus, pairs)
         if candidate is not None and _divides(candidate, big) and _divides(candidate, small):
-            return _rational(candidate[::-1], Fraction(1, candidate[0]))
+            return candidate
 
 
 def root_multiplicity(p: Poly, r) -> int:

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -318,7 +320,8 @@ class TestVerify:
         # n - 1 is the count of a multiset without repeats, so both the
         # formula cross-check and the common-zero biconditional must fail
         real = mldegree._algebraic_count_and_h
-        monkeypatch.setattr(mldegree, "_algebraic_count_and_h", lambda c: (len(c) - 1, real(c)[1]))
+        monkeypatch.setattr(mldegree, "_algebraic_count_and_h",
+                            lambda kind, shifts: (len(shifts) - 1, real(kind, shifts)[1]))
         campaign = run_campaign(5, 8, 3, patterns=[(2, 2)])
         assert campaign.checks_run == 5
         checks = [(f["trial"], f["check"]) for f in campaign.failures]
@@ -339,9 +342,10 @@ class TestVerify:
             assert failure["c"].count(value) == int(mult) + 1
 
     def test_one_gcd_per_checked_trial(self, monkeypatch):
+        # the count takes the degree of the gcd's integer vector
         calls = []
-        real_gcd = polynomials.gcd
-        monkeypatch.setattr(polynomials, "gcd", lambda a, b: calls.append(1) or real_gcd(a, b))
+        real_gcd = polynomials._gcd_vector
+        monkeypatch.setattr(polynomials, "_gcd_vector", lambda a, b: calls.append(1) or real_gcd(a, b))
         campaign = run_campaign(40, 9, 5)
         assert campaign.passed
         assert campaign.checks_run > 0
@@ -350,8 +354,9 @@ class TestVerify:
     def test_one_build_of_k_per_checked_trial(self, monkeypatch):
         # the multiplicity check runs on the h that the algebraic count built
         calls = []
-        real_build_k = polynomials.build_k
-        monkeypatch.setattr(polynomials, "build_k", lambda c: calls.append(1) or real_build_k(c))
+        real_build_k = polynomials._build_k
+        monkeypatch.setattr(polynomials, "_build_k",
+                            lambda kind, shifts: calls.append(1) or real_build_k(kind, shifts))
         campaign = run_campaign(40, 9, 5, patterns=[(2,), (3, 2), (2, 2, 2)])
         assert campaign.passed
         assert campaign.checks_run == 40
@@ -359,13 +364,47 @@ class TestVerify:
 
     def test_one_grouping_per_checked_trial(self, monkeypatch):
         calls = []
-        real_profile = mldegree.profile
-        monkeypatch.setattr(mldegree, "profile",
+        real_profile = mldegree._profile
+        monkeypatch.setattr(mldegree, "_profile",
                             lambda *args, **kw: calls.append(1) or real_profile(*args, **kw))
         campaign = run_campaign(40, 9, 5)
         assert campaign.passed
         assert campaign.checks_run > 0
         assert len(calls) == campaign.checks_run
+
+    def test_one_read_of_the_shifts_per_checked_trial(self, monkeypatch):
+        calls = []
+        real_read = polynomials._linear_factors
+        monkeypatch.setattr(polynomials, "_linear_factors", lambda c: calls.append(1) or real_read(c))
+        campaign = run_campaign(40, 9, 5)
+        assert campaign.passed
+        assert campaign.checks_run > 0
+        assert len(calls) == campaign.checks_run
+
+    def test_campaign_draws_the_values_of_the_fraction_set_draw(self):
+        # the draw that kept a set of Fractions, copied: the same values in
+        # the same order, each a Fraction, from the same calls on the rng
+        def fraction_set_materialize(rng, n, pattern):
+            seen, values = set(), []
+            while len(values) < len(pattern) + n - sum(pattern):
+                num, den = rng.randint(1, 20), rng.randint(1, 20)
+                v = Fraction(rng.choice((1, -1)) * num, den)
+                if v not in seen:
+                    seen.add(v)
+                    values.append(v)
+            c = [v for mult, v in zip(pattern, values) for _ in range(mult)]
+            c.extend(values[len(pattern):])
+            rng.shuffle(c)
+            return c
+
+        for seed in range(200):
+            for n in range(2, 25):
+                for pattern in [(), (2,), (2, 2), (3,), (4, 3)]:
+                    got_rng, want_rng = random.Random(seed), random.Random(seed)
+                    got = cli._materialize(got_rng, n, pattern)
+                    want = fraction_set_materialize(want_rng, n, pattern)
+                    assert got == want and all(type(v) is Fraction for v in got)
+                    assert got_rng.getstate() == want_rng.getstate()
 
     @pytest.mark.parametrize("shape,n", [((2, 2, 2), 6), ((5,), 6)])
     def test_a_forced_shape_can_raise_a_trial_above_n_max(self, monkeypatch, shape, n):

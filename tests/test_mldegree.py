@@ -511,6 +511,15 @@ class TestReport:
     def test_reads_an_iterator_once(self, c):
         assert ml_degree_report(iter(c)) == ml_degree_report(c)
 
+    def test_reads_the_shifts_once(self, monkeypatch):
+        # the grouping and the algebraic count take the one read
+        calls = []
+        real_read = polynomials._linear_factors
+        monkeypatch.setattr(polynomials, "_linear_factors", lambda c: calls.append(1) or real_read(c))
+        doc = ml_degree_report([F(1), F(1), F(2), F(-3, 4)])
+        assert doc["oracle"] == {"formula": 2, "algebraic": 2, "agree": True}
+        assert len(calls) == 1
+
     def test_all_equal_propagates(self):
         with pytest.raises(AllEqualError):
             ml_degree_report([F(3), F(3)])

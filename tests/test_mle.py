@@ -139,10 +139,11 @@ class TestGrouping:
 
     @pytest.fixture(autouse=True)
     def refuse_grouping(self, monkeypatch):
-        def refuse(c):
+        def refuse(*args):
             raise AssertionError("a fit grouped its shifts")
 
-        monkeypatch.setattr(mldegree, "profile", refuse)
+        # every grouping, profile's and a report's, goes through _profile
+        monkeypatch.setattr(mldegree, "_profile", refuse)
 
     def test_mixed_sign_boundary_fit_does_not_group(self):
         for w in ([0.9, -0.1], [1.0, -0.2], [-0.9, 0.1, 0.05]):

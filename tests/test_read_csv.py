@@ -26,6 +26,8 @@ import csv
 import locale
 import math
 import os
+import random
+import re
 import threading
 import warnings
 
@@ -249,7 +251,82 @@ def test_benchmark_size_file_reads_back_bit_for_bit(tmp_path):
     assert got.y.tobytes() == data.y.tobytes()
 
 
-PLAIN = ["1.5", " 2 ", "0", "-0.0", "7e-3", "4.25\t", "0.1"]
+def windowed_long_field(raw: bytes, limit: int) -> bool:
+    """The field-run gate without its sampled pre-filter: the scan of
+    overlapping windows alone, copied, not shared with the package."""
+    run = b"a" * (limit + 1)
+    return any(run in raw[i:i + model._SCAN_WINDOW + limit].translate(model._FIELD_RUNS)
+               for i in range(0, len(raw), model._SCAN_WINDOW))
+
+
+def longest_field(raw: bytes) -> int:
+    """The longest run of bytes other than the comma, CR and LF."""
+    return max(map(len, re.findall(rb"[^,\r\n]+", raw)), default=0)
+
+
+@pytest.fixture
+def field_limit():
+    """``csv.field_size_limit``, restored after the test."""
+    old = csv.field_size_limit()
+    yield csv.field_size_limit
+    csv.field_size_limit(old)
+
+
+def test_long_field_gate_matches_a_run_length_scan(field_limit):
+    # limits from 1 up, most of them past 1023, where the sampled
+    # pre-filter runs (step 2 to 11), and fields drawn around the limit
+    rng = random.Random(2031)
+    encoding = locale.getpreferredencoding(False)
+    for _ in range(3000):
+        limit = rng.randint(1023, 6000) if rng.random() < 0.8 else rng.randint(1, 1100)
+        field_limit(limit)
+        lengths = [limit - 2, limit - 1, limit, limit + 1, limit + 2]
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            cells = []
+            for _ in range(2):
+                size = rng.choice([rng.randint(1, 20), rng.choice(lengths),
+                                   rng.randint(1, 2 * limit)])
+                pad = " " * rng.randint(0, min(3, size - 1))
+                cells.append(pad + "0" * (size - len(pad) - 1) + "1")
+            rows.append(",".join(cells))
+        raw = rng.choice(["\n", "\r\n"]).join(["x,y", *rows, ""]).encode()
+        long = longest_field(raw) > limit
+        assert model._long_field(raw, limit) is long
+        assert windowed_long_field(raw, limit) is long
+        assert (model._parse_plain(raw, encoding) is None) is long
+
+
+def test_fixed_width_rows_whose_length_divides_the_step_take_the_bulk_path():
+    # 32-byte rows, and the default limit's step is 256: every sampled byte
+    # is the same byte of its row, a field byte, so the sample is one long
+    # run and the windowed scan decides
+    step = (LIMIT + 1) // 512
+    assert step % 32 == 0
+    text = "x,y\n" + "0.12345678901234,0.123456789012\n" * 20_000
+    raw = text.encode()
+    assert b"a" * ((LIMIT + 1) // step) in raw[::step].translate(model._FIELD_RUNS)
+    assert model._long_field(raw, LIMIT) is windowed_long_field(raw, LIMIT) is False
+    fast = parse_plain(text)
+    assert fast is not None and len(fast.x) == 20_000
+
+
+@pytest.mark.parametrize("size,long", [(LIMIT + 1, True), (LIMIT, False)],
+                         ids=["over the limit", "at the limit"])
+def test_a_long_field_is_found_at_every_residue_of_the_step(size, long):
+    # blank lines of at least a step around the field, so that the sampled
+    # run is the field's own
+    step = (LIMIT + 1) // 512
+    for residue in range(step):
+        head = "x,y\n" + "\n" * (step + (residue - 4) % step)
+        assert len(head) % step == residue
+        text = head + "0" * (size - 1) + "1,0.5\n" + "\n" * step + "0.5,0.25\n" * 1000
+        raw = text.encode()
+        assert model._long_field(raw, LIMIT) is windowed_long_field(raw, LIMIT) is long
+        assert (parse_plain(text) is None) is long
+
+
+PLAIN =["1.5", " 2 ", "0", "-0.0", "7e-3", "4.25\t", "0.1"]
 VALID = PLAIN + ["1_0", "\u0663.\u0665", "\x0c0.5\x0c"]
 INVALID = ["1e400", "nan", "inf", "-1", "", "abc", '"3"', "\x00"]
 HEADERS = ["x,y", " x , y", "x, y", "X,Y", "x", "x,y,z", '"x",y', ""]
