@@ -26,7 +26,7 @@ import math
 import random
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import mldegree, mle, model, polynomials
@@ -34,22 +34,23 @@ from . import mldegree, mle, model, polynomials
 __all__ = ["VerificationCampaign", "run_campaign", "main"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationCampaign:
     """Outcome of a randomized verification run.
 
-    ``repetition_patterns`` records the forced multiplicity shapes, or
-    None when each trial draws its own.  A passing campaign has an empty
-    ``failures`` list; skipped trials (the excluded all-equal shape) are
-    noted separately and do not fail the campaign.
+    ``repetition_patterns`` records the forced multiplicity shapes as a
+    tuple, or None when each trial draws its own.  A passing campaign has
+    an empty ``failures`` tuple; skipped trials (the excluded all-equal
+    shape) are noted separately, in the ``skipped`` tuple, and do not
+    fail the campaign.
     """
 
     trials: int
     n_range: tuple[int, int]
-    repetition_patterns: list | None
+    repetition_patterns: tuple | None
     seed: int
-    failures: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
+    failures: tuple = ()
+    skipped: tuple = ()
     checks_run: int = 0
 
     @property
@@ -184,7 +185,7 @@ def run_campaign(
     trials = model._integer(trials, 1, "trials")
     n_max = model._integer(n_max, 2, "n_max")
     rng = random.Random(seed)
-    campaign = VerificationCampaign(trials, (2, n_max), patterns, seed)
+    failures, skipped, checks_run = [], [], 0
     for trial in range(trials):
         n = rng.randint(2, n_max)
         if patterns:
@@ -200,7 +201,7 @@ def run_campaign(
             pattern = _random_pattern(rng, n)
         if len(pattern) == 1 and pattern[0] == n:
             value = Fraction(*_random_pair(rng))
-            campaign.skipped.append(
+            skipped.append(
                 {
                     "trial": trial,
                     "c": [str(value)] * n,
@@ -212,10 +213,11 @@ def run_campaign(
         for failure in _trial_checks(c):
             failure["trial"] = trial
             failure["c"] = [str(v) for v in c]
-            campaign.failures.append(failure)
-        campaign.checks_run += 1
-    campaign.failures.sort(key=lambda f: (f["trial"], f["check"]))
-    return campaign
+            failures.append(failure)
+        checks_run += 1
+    failures.sort(key=lambda f: (f["trial"], f["check"]))
+    return VerificationCampaign(trials, (2, n_max), None if patterns is None else tuple(patterns),
+                                seed, tuple(failures), tuple(skipped), checks_run)
 
 
 # -- subcommands -------------------------------------------------------------

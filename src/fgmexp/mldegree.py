@@ -68,17 +68,19 @@ class AllEqualError(ValueError):
 class MultiplicityProfile:
     """Grouping of the shift values by equality, as two columns.
 
-    ``values`` holds one representative per group, a list of Fractions
+    ``values`` holds one representative per group, a tuple of Fractions
     in exact mode and a read-only float64 array in approximate mode, and
-    ``mults`` the group sizes as a read-only int64 array, both in order
-    of first appearance.  Derived counts, taken once at construction:
-    ``n`` values, ``p`` distinct values, ``l`` groups of size > 1, and
-    ``m`` the total size of those groups.
+    ``mults`` the group sizes, each at least 1, as an int64 array made
+    read-only here, both in order of first appearance.  The columns are
+    the whole record: ``mode`` is read off the type of ``values`` (an
+    ndarray is ``"approx"``, anything else ``"exact"``), and the counts
+    are taken once at construction: ``p`` distinct values, ``l`` groups
+    of size > 1, ``m`` the total size of those groups, and ``n`` values,
+    which is m + (p - l) since every other group holds one value.
     """
 
-    values: list | np.ndarray
+    values: tuple | np.ndarray
     mults: np.ndarray
-    mode: str  # "exact" | "approx"
     n: int = field(init=False)
     l: int = field(init=False)
     m: int = field(init=False)
@@ -88,12 +90,18 @@ class MultiplicityProfile:
     def __post_init__(self):
         self.mults.flags.writeable = False
         # a fixed number of numpy calls, whatever the number of groups
-        index = np.flatnonzero(self.mults > 1)
+        index = (self.mults > 1).nonzero()[0]
         sizes = self.mults[index].tolist()
-        object.__setattr__(self, "n", int(self.mults.sum()))
         object.__setattr__(self, "l", len(sizes))
         object.__setattr__(self, "m", sum(sizes))
+        # every other group holds one value
+        object.__setattr__(self, "n", self.m + len(self.mults) - self.l)
         object.__setattr__(self, "_repeated", tuple(zip(index.tolist(), sizes)))
+
+    @property
+    def mode(self) -> str:
+        """``"approx"`` for float representatives, else ``"exact"``."""
+        return "approx" if isinstance(self.values, np.ndarray) else "exact"
 
     @property
     def p(self) -> int:
@@ -118,17 +126,17 @@ def profile(c: Sequence) -> MultiplicityProfile:
     are compared exactly, as lowest-terms integer pairs.  Each group is
     represented by the first value given for it when that value's type
     is exactly ``Fraction``, which is always in lowest terms, and
-    otherwise by the Fraction built from its pair.  Float values are
-    compared approximately: floats whose gap is within
-    ``1e-9 * max(1, |value|)`` are grouped, closed transitively so the
-    result is a partition.  The float grouping sorts the values once,
-    builds the tolerance of each pair of sorted neighbours in one buffer
-    and frees it with the sorted copy before the representatives are
-    taken; it orders the groups by scattering each size to its group's
-    first index, not by a second sort.  Each float group is represented
-    by its first value, and the representatives stay one read-only
-    float64 array, whose entries are ``np.float64``, a ``float``
-    subclass.
+    otherwise by the Fraction built from its pair; the representatives
+    are one tuple.  Float values are compared approximately: floats
+    whose gap is within ``1e-9 * max(1, |value|)`` are grouped, closed
+    transitively so the result is a partition.  The float grouping sorts
+    the values once, builds the tolerance of each pair of sorted
+    neighbours in one buffer and frees it with the sorted copy before
+    the representatives are taken; it orders the groups by scattering
+    each size to its group's first index, not by a second sort.  Each
+    float group is represented by its first value, and the
+    representatives stay one read-only float64 array, whose entries are
+    ``np.float64``, a ``float`` subclass.
     """
     return _profile(*polynomials._linear_factors(c))
 
@@ -147,9 +155,9 @@ def _profile(kind: str, shifts: list | np.ndarray,
         first = dict(zip(shifts[::-1], values[::-1]))
         # a Fraction is in lowest terms already; any other value gives way
         # to the Fraction of its pair
-        reps = [v if type(v) is Fraction else Fraction(n, d)
-                for (d, n), v in zip(counts, map(first.__getitem__, counts))]
-        return MultiplicityProfile(reps, mults, "exact")
+        reps = tuple([v if type(v) is Fraction else Fraction(n, d)
+                      for (d, n), v in zip(counts, map(first.__getitem__, counts))])
+        return MultiplicityProfile(reps, mults)
     fl = shifts
     # the sort need not be stable, as a group's representative is its
     # smallest index wherever ties land
@@ -162,7 +170,7 @@ def _profile(kind: str, shifts: list | np.ndarray,
     first = np.flatnonzero(sizes)
     reps = fl[first]
     reps.flags.writeable = False
-    return MultiplicityProfile(reps, sizes[first], "approx")
+    return MultiplicityProfile(reps, sizes[first])
 
 
 def _group_starts(s: np.ndarray) -> np.ndarray:

@@ -67,7 +67,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -249,15 +249,11 @@ def _exact_pairs(values: Sequence) -> list[tuple[int, int]]:
     calls rational, each n/d in lowest terms as the (d, n) pair of Python
     ints, in order.  Shift values, Poly coefficients and points all pass
     through it."""
-    # int() turns numpy integers and bools into Python ints
-    pairs = [(v.denominator, v.numerator) if isinstance(v, Fraction) else (1, int(v))
-             for v in values]
-    # a Fraction built from numpy integers keeps them as its parts, which
-    # would wrap in the exact arithmetic; the types of all parts in one
-    # pass at C speed
-    if not set(map(type, chain.from_iterable(pairs))) <= {int}:
-        pairs = [(int(d), int(n)) for d, n in pairs]
-    return pairs
+    # int() turns numpy integers and bools into Python ints, and so the
+    # parts of a Fraction built from numpy integers, which would wrap in
+    # the exact arithmetic
+    return [(int(v.denominator), int(v.numerator)) if isinstance(v, Fraction) else (1, int(v))
+            for v in values]
 
 
 def _rational_point(r) -> tuple[int, int]:

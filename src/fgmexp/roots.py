@@ -65,15 +65,14 @@ class RootSet:
 
     ``residuals`` are relative backward errors: |p(root)| divided by
     sum_j |a_j| |root|^j, the magnitude scale of the coefficients at the
-    root.  Multiplicities sum to the degree, except when the eigenvalue
-    iteration failed: then ``converged`` is False and no roots are
-    reported.
+    root.  Multiplicities sum to the degree: a census whose eigenvalue
+    iteration fails is an error (see :func:`complex_roots`), not a
+    RootSet.
     """
 
     roots: tuple[complex, ...]
     multiplicities: tuple[int, ...]
     residuals: tuple[float, ...]
-    converged: bool = True
 
     @property
     def total_multiplicity(self) -> int:
@@ -127,7 +126,9 @@ def complex_roots(p: Poly) -> RootSet:
     degree below 1, and OverflowError :data:`OUT_OF_RANGE` when a
     coefficient or the residual scale at a root is past the float range,
     or an entry -a_j/a_n of the companion matrix of the rounded
-    coefficients is not finite, as when a_n rounds to 0.
+    coefficients is not finite, as when a_n rounds to 0.  When the
+    eigenvalue iteration of ``np.roots`` does not converge, its
+    ``numpy.linalg.LinAlgError``, a ValueError, propagates.
     On the h of sampled shifts c = 1/w the scale passes it from about
     n = 150 and the coefficients from about n = 400; from about n = 100
     non-real roots are reported where the true zeros are real.
@@ -144,10 +145,7 @@ def complex_roots(p: Poly) -> RootSet:
             raise OverflowError
     except OverflowError:
         raise OverflowError(OUT_OF_RANGE) from None
-    try:
-        raw = np.roots(coeffs[::-1])
-    except np.linalg.LinAlgError:
-        return RootSet((), (), (), converged=False)
+    raw = np.roots(coeffs[::-1])
     scale = max(1.0, float(np.max(np.abs(raw))))
     merged = _cluster(raw, CLUSTER_RADIUS * scale)
     roots = tuple(z for z, _ in merged)

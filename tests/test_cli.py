@@ -420,9 +420,9 @@ class TestVerify:
     def test_campaign_api_records_failures_sorted(self):
         campaign = run_campaign(30, 6, 123)
         assert campaign.passed
-        assert campaign.failures == sorted(
+        assert campaign.failures == tuple(sorted(
             campaign.failures, key=lambda f: (f["trial"], f["check"])
-        )
+        ))
 
 
 # each line of the table: the option whose rule the call breaks, then the

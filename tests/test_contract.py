@@ -11,6 +11,7 @@ forms are written out here from the README's table, not taken from the
 package.
 """
 
+import dataclasses
 import json
 import re
 import warnings
@@ -22,10 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fgmexp import mldegree, model
+import fgmexp
+from fgmexp import cli, mldegree, mle, model, polynomials, roots
 from fgmexp.cli import run_campaign
 from fgmexp.mldegree import ml_degree_algebraic, ml_degree_report, profile
-from fgmexp.mle import NoDataError, fit_from_weights
+from fgmexp.mle import NoDataError, fit, fit_from_weights
 from fgmexp.model import (
     PoleError,
     log_likelihood_weights,
@@ -457,3 +459,47 @@ def test_probe_gets_a_package_error(call):
 def test_all_zero_weights_of_any_type_are_no_data():
     with pytest.raises(NoDataError):
         fit_from_weights([0, False, 0.0, np.int8(0)])
+
+
+# -- immutable public records --------------------------------------------------
+
+# the package docstring promises that every public type is immutable
+PUBLIC_CLASSES = sorted(
+    {obj for module in (fgmexp, model, polynomials, roots, mldegree, mle, cli)
+     for obj in map(module.__dict__.get, module.__all__)
+     if isinstance(obj, type) and not issubclass(obj, BaseException)},
+    key=lambda cls: cls.__name__,
+)
+MUTABLE = (list, dict, set, bytearray)
+RECORDS = {
+    "exact profile": lambda: profile([Fraction(1, 2), 3, Fraction(1, 2)]),
+    "float profile": lambda: profile(np.array([2.0, 2.0, 3.0])),
+    "census": lambda: complex_roots(Poly((1, 2, 1))),
+    "fit": lambda: fit(sample(50, 0.3, 1)),
+    "campaign": lambda: run_campaign(5, 6, 1, [[2, 2], "n"]),
+    "c_shift": lambda: model.c_shift(sample(50, 0.3, 1)),
+    "sample": lambda: sample(50, 0.3, 1),
+    "Poly": lambda: Poly([1, Fraction(1, 3), 2]),
+}
+
+
+@pytest.mark.parametrize("cls", PUBLIC_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_public_record_type_is_frozen(cls):
+    # a frozen dataclass, or a named tuple, which is a tuple
+    if dataclasses.is_dataclass(cls):
+        assert cls.__dataclass_params__.frozen
+    else:
+        assert issubclass(cls, tuple)
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_public_records_hold_no_mutable_field(make):
+    # each field itself, not what a tuple field holds
+    record = make()
+    assert type(record) in PUBLIC_CLASSES
+    fields = ([f.name for f in dataclasses.fields(record)] if dataclasses.is_dataclass(record)
+              else record._fields)
+    for name in fields:
+        value = getattr(record, name)
+        assert not isinstance(value, MUTABLE), name
+        assert not (isinstance(value, np.ndarray) and value.flags.writeable), name

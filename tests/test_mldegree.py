@@ -72,6 +72,15 @@ def exact_shifts(draw):
     return c
 
 
+@st.composite
+def float_shifts_with_duplicates(draw):
+    """A float64 array of nonzero finite shifts with some rows repeated,
+    shuffled."""
+    values = draw(st.lists(st.floats(-1e6, 1e6).filter(bool), min_size=1, max_size=12))
+    values += draw(st.lists(st.sampled_from(values), max_size=8))
+    return np.array(draw(st.permutations(values)))
+
+
 class TestProfile:
     def test_worked_example(self):
         prof = profile([F(1), F(1), F(2)])
@@ -140,7 +149,7 @@ class TestProfile:
 
     def test_group_order_is_first_appearance(self):
         prof = profile([F(7), F(2), F(7), F(1)])
-        assert prof.values == [F(7), F(2), F(1)]
+        assert prof.values == (F(7), F(2), F(1))
         # an int and the Fraction equal to it are one group
         prof = profile([7, F(2), F(14, 2), np.int64(1), F(1)])
         assert list(zip(prof.values, prof.mults)) == [(F(7), 2), (F(2), 1), (F(1), 2)]
@@ -152,7 +161,7 @@ class TestProfile:
         prof = profile(c)
         want = Counter(F(v) for v in c)
         assert prof.mode == "exact"
-        assert prof.values == list(want)
+        assert prof.values == tuple(want)
         assert prof.mults.tolist() == list(want.values())
         assert all(type(v) is F and type(v.numerator) is int for v in prof.values)
         # a group whose first value is a Fraction is represented by it
@@ -161,6 +170,22 @@ class TestProfile:
             first.setdefault(F(v), v)
         for rep, v in zip(prof.values, first.values()):
             assert rep is v or type(v) is not F
+
+    @given(st.one_of(exact_shifts(), float_shifts_with_duplicates()))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_and_mode_are_read_off_the_two_columns(self, c):
+        prof = profile(c)
+        repeated = prof.mults[prof.mults > 1]
+        assert prof.n == len(c) == int(prof.mults.sum())
+        assert (prof.l, prof.m) == (len(repeated), int(repeated.sum()))
+        assert prof.p == len(prof.values) == len(prof.mults)
+        if isinstance(prof.values, np.ndarray):
+            assert prof.mode == "approx" and isinstance(c, np.ndarray)
+        else:
+            assert prof.mode == "exact" and type(prof.values) is tuple
+        # the mode is read off the values, never given
+        with pytest.raises(TypeError):
+            MultiplicityProfile(prof.values, prof.mults, "exact")
 
     @pytest.mark.parametrize("c,message", [
         ([], "need at least one shift value"),
