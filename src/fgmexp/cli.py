@@ -28,6 +28,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import mldegree, mle, model, polynomials
 
@@ -39,10 +40,12 @@ class VerificationCampaign:
     """Outcome of a randomized verification run.
 
     ``repetition_patterns`` records the forced multiplicity shapes as a
-    tuple, or None when each trial draws its own.  A passing campaign has
-    an empty ``failures`` tuple; skipped trials (the excluded all-equal
-    shape) are noted separately, in the ``skipped`` tuple, and do not
-    fail the campaign.
+    tuple, each shape a tuple or ``"n"``, or None when each trial draws
+    its own.  A passing campaign has an empty ``failures`` tuple; skipped
+    trials (the excluded all-equal shape) are noted separately, in the
+    ``skipped`` tuple, and do not fail the campaign.  Each failure and
+    skipped entry is a read-only mapping whose shift list ``c`` is a
+    tuple, so the record cannot be changed through them.
     """
 
     trials: int
@@ -64,31 +67,40 @@ class VerificationCampaign:
             "patterns": self.repetition_patterns,
             "seed": self.seed,
             "checks_run": self.checks_run,
-            "skipped": self.skipped,
-            "failures": self.failures,
+            "skipped": _entries_json(self.skipped),
+            "failures": _entries_json(self.failures),
             "passed": self.passed,
         }
 
 
-def _random_pair(rng: random.Random) -> tuple[int, int]:
+def _entries_json(entries: tuple) -> tuple[dict, ...]:
+    """Failure or skipped entries as the dicts they print as, ``c`` a
+    list."""
+    return tuple({**entry, "c": list(entry["c"])} for entry in entries)
+
+
+def _random_pair(rng: random.Random, bound: int = 20) -> tuple[int, int]:
     """A random rational as its lowest-terms (numerator, denominator)
     pair."""
-    # numerators and denominators in [1, 20] with random sign, so the
+    # numerators and denominators in [1, bound] with random sign, so the
     # values land both inside and outside the data-realizable |c| >= 1
-    num = rng.randint(1, 20)
-    den = rng.randint(1, 20)
+    num = rng.randint(1, bound)
+    den = rng.randint(1, bound)
     sign = rng.choice((1, -1))
     g = math.gcd(num, den)
     return sign * num // g, den // g
 
 
 def _distinct_rationals(rng: random.Random, count: int) -> list[Fraction]:
+    # the default draw holds 510 distinct values; a larger count draws
+    # from a range holding more than twice as many, about 1.2 bound**2
+    bound = 20 if count <= 510 else math.isqrt(2 * count) + 1
     # lowest-terms pairs of ints hash at C speed, where Fractions do not;
     # a Fraction is built only for a new value
     seen: set[tuple[int, int]] = set()
     out: list[Fraction] = []
     while len(out) < count:
-        pair = _random_pair(rng)
+        pair = _random_pair(rng, bound)
         if pair not in seen:
             seen.add(pair)
             out.append(Fraction(*pair))
@@ -201,23 +213,25 @@ def run_campaign(
             pattern = _random_pattern(rng, n)
         if len(pattern) == 1 and pattern[0] == n:
             value = Fraction(*_random_pair(rng))
-            skipped.append(
+            skipped.append(MappingProxyType(
                 {
                     "trial": trial,
-                    "c": [str(value)] * n,
+                    "c": (str(value),) * n,
                     "note": "all shift values equal: excluded case, boundary MLE applies",
                 }
-            )
+            ))
             continue
         c = _materialize(rng, n, pattern)
         for failure in _trial_checks(c):
             failure["trial"] = trial
-            failure["c"] = [str(v) for v in c]
-            failures.append(failure)
+            failure["c"] = tuple(map(str, c))
+            failures.append(MappingProxyType(failure))
         checks_run += 1
     failures.sort(key=lambda f: (f["trial"], f["check"]))
-    return VerificationCampaign(trials, (2, n_max), None if patterns is None else tuple(patterns),
-                                seed, tuple(failures), tuple(skipped), checks_run)
+    if patterns is not None:
+        patterns = tuple(shape if shape == "n" else tuple(shape) for shape in patterns)
+    return VerificationCampaign(trials, (2, n_max), patterns, seed, tuple(failures),
+                                tuple(skipped), checks_run)
 
 
 # -- subcommands -------------------------------------------------------------

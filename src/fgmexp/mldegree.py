@@ -12,7 +12,14 @@ Discarding those leaves
 where, among the p distinct shift values, l groups are repeated more
 than once and m is the total size of those repeated groups.  The closed
 formula is cross-checked against an independent algebraic route,
-deg h - deg gcd(h, k), over exact rationals.
+deg h - deg gcd(h, k), over exact rationals.  The route builds h and k
+and takes deg gcd(h, k) off k's own linear factors: by unique
+factorisation it is the sum, over the distinct factors (d theta + n) of
+k, of how often each divides h, capped at how often it occurs in k.
+Each is measured by exact deflation of h, never read off the closed
+formula's n_i - 1, and the factors are grouped by the route itself, not
+by the profile, so a wrong profile still disagrees
+(:func:`~fgmexp.polynomials._gcd_degree`).
 
 When every shift value is equal the cleared score equation collapses and
 the count is undefined; that case raises :class:`AllEqualError`, which
@@ -244,12 +251,13 @@ def _algebraic_count_and_h(kind: str, shifts: list | np.ndarray) -> tuple[int, p
     """:func:`ml_degree_algebraic`'s count of the shifts as
     :func:`~fgmexp.polynomials._linear_factors` read them, their kind
     and checked values, together with the h = k' it built, for callers
-    that also need h.  The gcd's degree is read off its primitive
-    integer vector."""
-    k = polynomials._build_k(kind, shifts)
+    that also need h.  deg gcd(h, k) is read off k's own linear factors
+    by :func:`~fgmexp.polynomials._gcd_degree`."""
+    pairs = polynomials._factor_pairs(kind, shifts)
+    k = polynomials._build_k(pairs)
     h = k.derivative()
     n = k.degree
-    count = n - len(polynomials._gcd_vector(h, k))
+    count = n - 1 - polynomials._gcd_degree(pairs, h)
     if count == 0 and n >= 2:
         # k = (theta + a)^n, whose theta^(n-1) coefficient is n a
         raise AllEqualError(k.coeffs[-2] / n, n)

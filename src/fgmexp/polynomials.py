@@ -42,33 +42,31 @@ and the Fraction coefficients are built from them on each read.
 shifts n_i/d_i, two to a pass as one quadratic; each factor is
 primitive, so by Gauss's lemma so is the product, and h = k' is its
 integer derivative divided by its content.
-:func:`gcd` takes the gcd of two such vectors modulo the primes below
-2**30, largest first (Brown's multi-prime algorithm), so that a residue
-is one digit of a CPython integer and a product of two stays below
-2**60; the primes are sieved in windows of 2**16 integers counted down
-from 2**30, each window once per process.  It combines the monic images
-by Chinese remaindering and rational reconstruction.  The result is
-exact, not probable: a prime that divides neither leading coefficient
-gives an image whose degree bounds the degree of the true gcd from
-above, and a candidate of that degree is returned only after it
-divides both inputs exactly over the integers, checked by a long
-division whose every step is one dot product, which makes it a common
-divisor of the largest possible degree.  The algebraic count takes the
-degree of the gcd's primitive integer vector, so it builds no gcd
-polynomial.
 :func:`root_multiplicity` deflates the integer vector by synthetic
 division.
+
+The algebraic count needs deg gcd(h, k), and takes it off k's own
+linear factors (:func:`_gcd_degree`): by unique factorisation in
+Q[theta], gcd(h, k) is the product of the distinct factors f_g of k,
+each to the power min(v_g, n_g), where n_g is how often f_g occurs in k
+and v_g how often it divides h.  Each v_g is measured by the deflation
+of :func:`root_multiplicity`, after a one-sided screen: a nonzero value
+of h at the factor's root modulo the prime 2**30 - 35 proves v_g = 0.
+The count is exact, and no general gcd is taken, so a repeated shift
+with a denominator of thousands of digits costs a few deflations, where
+a multi-prime gcd needed hundreds of modular images and failed
+reconstructions.  :func:`gcd`, for two arbitrary polynomials, is a
+primitive remainder sequence on the integer vectors, exact and meant
+for small degrees.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -321,14 +319,20 @@ def build_k(c: Sequence) -> Poly:
     raises the same errors.
     """
     kind, shifts, _ = _linear_factors(c)
-    return _build_k(kind, shifts)
+    return _build_k(_factor_pairs(kind, shifts))
 
 
-def _build_k(kind: str, shifts: list | np.ndarray) -> Poly:
-    """:func:`build_k` of shifts that :func:`_linear_factors` has read
-    and checked, given as its kind and checked values."""
-    if kind != RATIONAL:
-        shifts = [(d, n) for n, d in map(float.as_integer_ratio, shifts.tolist())]
+def _factor_pairs(kind: str, shifts: list | np.ndarray) -> list[tuple[int, int]]:
+    """The lowest-terms (d, n) pairs of shifts that :func:`_linear_factors`
+    has read and checked, given as its kind and checked values: a float
+    shift is the dyadic rational it holds."""
+    if kind == RATIONAL:
+        return shifts
+    return [(d, n) for n, d in map(float.as_integer_ratio, shifts.tolist())]
+
+
+def _build_k(shifts: list[tuple[int, int]]) -> Poly:
+    """:func:`build_k` of the shifts' (d, n) pairs."""
     # the odd factor out first, then two factors per pass: multiply by
     # (a1 theta + b1)(a2 theta + b2) = A theta^2 + B theta + C, so
     # new[j] = A*old[j-2] + B*old[j-1] + C*old[j]
@@ -355,210 +359,111 @@ def build_h(c: Sequence) -> Poly:
     return build_k(c).derivative()
 
 
-# The gcd's primes: every prime below 2**30, largest first.  A residue
-# modulo one of them is a single 30-bit digit of a CPython integer, where
-# arithmetic takes its fast path, and a product of two residues stays
-# below 2**60.  They are sieved in windows of 2**16 integers counted down
-# from 2**30, by the primes below 2**15: every composite below 2**30 has
-# a prime factor there.
-_WINDOW = 1 << 16
-
-
-@functools.cache
-def _prime_window(top: int) -> tuple[int, ...]:
-    """The primes in [top - 2**16, top), largest first, for a multiple
-    ``top`` of 2**16 up to 2**30.  Cached: every gcd reads the same
-    windows.  Under threads a window may be sieved twice, always to the
-    same tuple."""
-    low = top - _WINDOW
-    small = bytearray([1]) * (1 << 15)
-    for q in range(2, math.isqrt(1 << 15) + 1):
-        if small[q]:
-            small[q * q::q] = bytes(len(range(q * q, 1 << 15, q)))
-    window = bytearray([1]) * _WINDOW
-    if not low:
-        window[:2] = b"\0\0"
-    for q in compress(range(2, 1 << 15), small[2:]):
-        # the multiples of q in the window, from q*q on
-        start = max(q * q, -(-low // q) * q) - low
-        window[start::q] = bytes(len(range(start, _WINDOW, q)))
-    return tuple(compress(range(top - 1, low - 1, -1), reversed(window)))
-
-
-def _primes():
-    """The gcd's primes in their fixed order, window after window."""
-    for top in range(1 << 30, 0, -_WINDOW):
-        yield from _prime_window(top)
-
-
-def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd over GF(p) of two polynomials reduced mod p, descending
-    coefficients with nonzero leading ones, by the Euclidean algorithm
-    with each remainder taken up to a unit factor."""
-    while b:
-        if len(a) == len(b) + 1 > 2:
-            # the usual step, one degree down: both eliminations in one
-            # pass, scaling by b[0] where a division would need an inverse
-            b0, a0 = b[0], a[0]
-            c0 = (b0 * a[1] - a0 * b[1]) % p
-            c1, c2 = b0 * a0 % p, b0 * b0 % p
-            # the last entry apart, where b[2:] has no term; zip stops
-            # before it
-            last = (c2 * a[-1] - c0 * b[-1]) % p
-            a = [(c2 * x - c1 * y - c0 * z) % p for x, y, z in zip(a[2:], b[2:], b[1:])]
-            a.append(last)
-        else:
-            inv = pow(b[0], -1, p)
-            while len(a) >= len(b):
-                q = a[0] * inv % p
-                a = [(x - q * y) % p for x, y in zip(a[1:], b[1:])] + a[len(b):]
-        while a and not a[0]:
-            del a[0]
-        a, b = b, a
-    inv = pow(a[0], -1, p)
-    return [x * inv % p for x in a]
-
-
-def _rational_reconstruction(u: int, m: int, bound: int) -> tuple[int, int] | None:
-    """The fraction r/s with |r| <= bound and 0 < s <= bound that is
-    congruent to u mod m, or None (Wang's half-extended Euclid)."""
-    r0, r1, s0, s1 = m, u % m, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if not 0 < abs(s1) <= bound or math.gcd(r1, s1) != 1:
-        return None
-    return (r1, s1) if s1 > 0 else (-r1, -s1)
-
-
-def _lift(residues: list[int], m: int, pairs: list[tuple[int, int]]) -> list[int] | None:
-    """The primitive integer polynomial whose monic form is congruent to
-    ``residues`` mod m, by rational reconstruction of each coefficient,
-    or None when one has no reconstruction.
-
-    The denominators found so far multiply into ``den``, and a
-    coefficient that ``den`` already clears to a small integer needs no
-    Euclid.  Once m exceeds twice the square of the largest coefficient
-    of the true primitive gcd, every coefficient comes back right,
-    whichever way it is found.
-
-    ``pairs`` holds the leading coefficients that earlier calls, at a
-    modulus dividing m, reconstructed: each as v / den with the ``den``
-    of its step.  A fraction within the bound of a smaller modulus and
-    congruent mod m is the one reconstruction at m would find, so the
-    lift resumes after them, and appends what it finds.
-    """
-    bound = math.isqrt(m // 2)
-    den = pairs[-1][1] if pairs else 1
-    for u in residues[len(pairs):]:
-        v = u * den % m
-        if v > m // 2:
-            v -= m
-        if abs(v) > bound:
-            rs = _rational_reconstruction(v, m, bound)
-            if rs is None:
-                return None
-            v, s = rs
-            den *= s
-            if den > bound:
-                return None
-        pairs.append((v, den))
-    ints = [v * (den // d) for v, d in pairs]
-    content = math.gcd(*ints)
-    return [x // content for x in ints]
-
-
-def _divides(g: list[int], a: list[int]) -> bool:
-    """Whether ``g`` divides ``a`` exactly over the integers; descending
-    coefficients, ``a`` no shorter than ``g``.
-
-    Each quotient coefficient is (a_i - sum_{j >= 1} g_j q_{i-j}) / g_0,
-    one dot product of the divisor's tail with the last deg g quotient
-    coefficients, and must be an integer; each of the deg g remainder
-    rows a_i - sum_j g_j q_{i-j} must be 0."""
-    lead, dg = g[0], len(g) - 1
-    tail = g[:0:-1]  # g_dg, ..., g_1, against q_{i-dg}, ..., q_{i-1}
-    q = [0] * dg  # zeros stand for the q_{i-j} with i < j
-    for x in a[:len(a) - dg]:
-        d, r = divmod(x - sum(map(mul, tail, q[len(q) - dg:])), lead)
-        if r:
-            return False
-        q.append(d)
-    # remainder row r has the terms j = r+1, ..., dg: map stops at the
-    # shorter window
-    n = len(q)
-    return all(x == sum(map(mul, tail, q[n - dg + r:]))
-               for r, x in enumerate(a[len(a) - dg:]))
-
-
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor, by Brown's multi-prime algorithm.
+    """Monic greatest common divisor, by a primitive remainder sequence.
 
-    It works on the primitive integer vectors A and B that the inputs
-    hold.  The primes are every prime below 2**30, largest first, as
-    :func:`_prime_window` sieves them.  For each that divides neither
-    leading coefficient, the gcd of the images mod p has degree at least
-    deg gcd(A, B): degree 0 proves the gcd is 1, a higher degree than
-    the lowest seen marks an unlucky prime, which is dropped, and a
-    lower one discards the images gathered so far.  The monic images of
-    the lowest degree are combined by Chinese remaindering and rational
-    reconstruction, and a candidate is returned only when it divides A
-    and B exactly over the integers; a common divisor of the largest
-    possible degree is the gcd.  The result is exact and deterministic.
+    It works on the primitive integer vectors that the inputs hold.
+    Each step replaces the longer vector f by the pseudo-remainder of f
+    by the shorter g, lc(g)**(deg f - deg g + 1) f mod g, made primitive
+    with a positive leading entry by :func:`_canonical`.  Over the
+    rationals a pseudo-remainder is the remainder times a nonzero
+    constant, so each step keeps the gcd, and the last nonzero vector is
+    the gcd up to a scale.  The result is exact and deterministic.
 
-    The leading coefficients that one lift reconstructs stand while
-    each new image agrees with them, and the next lift starts after
-    them; so a gcd that needs k images reconstructs each coefficient
-    about once and fails about one reconstruction per image, where a
-    lift from scratch after every image would redo all of them.  Every
-    candidate is the one a lift from scratch would give.
+    A small-degree tool: taking the content out at each step keeps the
+    coefficients to the size of the remainders' primitive parts, but
+    those grow with the degree, so the gcd of h = k' and k for 80 random
+    shifts takes seconds.  The ML-degree count does not call it; it
+    takes deg gcd(h, k) off k's own linear factors (:func:`_gcd_degree`).
 
-    This wraps :func:`_gcd_vector`, which returns the gcd as a primitive
-    integer vector.  The algebraic count of
-    :func:`fgmexp.mldegree.ml_degree_algebraic` takes the degree of that
-    vector and builds no gcd polynomial; an exact ML-degree report and
-    each ``verify`` trial read their shifts once, for that count and
-    the grouping alike.
+    Raises ValueError for two zero polynomials; a zero input gives the
+    monic form of the other.
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    if a.is_zero or b.is_zero:
-        return (b if a.is_zero else a).monic()
-    g = _gcd_vector(a, b)
-    return _rational(g[::-1], Fraction(1, g[0]))
+    f, g = a._vector, b._vector
+    while g:
+        # the pseudo-remainder: each pass takes lc(g) f - lc(f) theta**shift g,
+        # whose leading term cancels
+        while len(f) >= len(g):
+            lead, q, shift = g[-1], f[-1], len(f) - len(g)
+            f = ([lead * x for x in f[:shift]]
+                 + [lead * x - q * y for x, y in zip(f[shift:-1], g)])
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, _canonical(list(f), Fraction(1))[0]
+    return _rational(list(f), Fraction(1, f[-1]))
 
 
-def _gcd_vector(a: Poly, b: Poly) -> list[int]:
-    """The gcd of two nonzero polynomials, as :func:`gcd` finds it: its
-    primitive integer vector, descending coefficients, the leading one
-    positive."""
-    big, small = sorted((a._vector[::-1], b._vector[::-1]), key=len, reverse=True)
-    if len(small) == 1:
-        return [1]
-    size = None  # length of the lowest-degree images so far
-    for p in _primes():
-        if big[0] % p == 0 or small[0] % p == 0:
-            continue
-        image = _gcd_mod([x % p for x in big], [x % p for x in small], p)
-        if len(image) == 1:
-            return [1]
-        if size is not None and len(image) > size:
-            continue
-        if size is None or len(image) < size:
-            size, modulus, residues, pairs = len(image), 1, [0] * len(image), []
-        # the reconstructed coefficients stand while they agree with the image
-        for i, (v, den) in enumerate(pairs):
-            if (v - den * image[i]) % p:
-                del pairs[i:]
-                break
-        # Chinese remaindering: the residues mod modulus*p that agree
-        # with the old residues mod modulus and with the image mod p
-        step = pow(modulus, -1, p)
-        residues = [r + modulus * ((x - r) * step % p) for r, x in zip(residues, image)]
-        modulus *= p
-        candidate = _lift(residues, modulus, pairs)
-        if candidate is not None and _divides(candidate, big) and _divides(candidate, small):
-            return candidate
+# The screen's prime, the largest below 2**30: a residue is one digit of a
+# CPython integer, and a product of two stays below 2**60.
+_SCREEN_PRIME = 2**30 - 35
+
+
+def _gcd_degree(pairs: list[tuple[int, int]], h: Poly) -> int:
+    """deg gcd(h, k) for a nonzero h and the k whose factors are the
+    (d theta + n) of the lowest-terms (d, n) pairs given, d > 0.
+
+    Distinct pairs give pairwise coprime factors, so by unique
+    factorisation in Q[theta] every divisor of k is a product of them,
+    and gcd(h, k) is the product over the distinct factors f_g of
+    f_g**min(v_g, n_g), where n_g is how often f_g occurs in k and v_g
+    how often it divides h.  The degree is the sum of the min(v_g, n_g),
+    and no general gcd is taken.  The pairs are grouped here, by their
+    own Counter, never by a profile's group sizes, so a wrong profile
+    still disagrees with the count.
+
+    Each v_g, capped at n_g, is measured by exact deflation, as
+    :func:`root_multiplicity` measures a multiplicity (:func:`_deflate`).
+    The deflations run on one shrinking quotient: the factors are
+    pairwise coprime, so dividing h by one of them leaves how often each
+    other divides it unchanged.
+
+    A one-sided screen runs first: Horner's rule gives h(-n_g/d_g)
+    modulo the prime P = 2**30 - 35, on h itself.  If f_g divides h,
+    then by Gauss's lemma h = f_g q with q integral, so the residue is
+    0; a nonzero residue therefore proves v_g = 0.  A zero residue proves nothing
+    (two distinct roots may be congruent mod P), and deflation decides.
+    A factor whose d_g is a multiple of P has no root mod P and goes to
+    deflation unscreened.
+    """
+    coeffs = h._vector[::-1]
+    residues = [x % _SCREEN_PRIME for x in coeffs]
+    degree = 0
+    for (d, n), size in Counter(pairs).items():
+        if d % _SCREEN_PRIME:
+            root, acc = -n * pow(d, -1, _SCREEN_PRIME) % _SCREEN_PRIME, 0
+            for x in residues:
+                acc = (acc * root + x) % _SCREEN_PRIME
+            if acc:
+                continue
+        count, coeffs = _deflate(coeffs, d, -n, size)
+        degree += count
+    return degree
+
+
+def _deflate(coeffs: Sequence[int], t: int, s: int, cap: int) -> tuple[int, Sequence[int]]:
+    """How often the primitive factor (t theta - s), t > 0, divides the
+    integer polynomial of descending ``coeffs``, counted up to ``cap``,
+    and the quotient by that power of it.
+
+    One pass of synthetic division gives the quotient and the remainder,
+    and stops early at a step that does not divide exactly; each exact
+    pass deflates the polynomial once.  By Gauss's lemma a quotient by a
+    primitive factor stays integral, so integer arithmetic suffices."""
+    count = 0
+    while count < cap and len(coeffs) > 1:
+        quotient, carry = [], 0
+        for x in coeffs[:-1]:
+            carry, rem = divmod(x + s * carry, t)
+            if rem:
+                return count, coeffs
+            quotient.append(carry)
+        if coeffs[-1] + s * carry:
+            return count, coeffs
+        coeffs = quotient
+        count += 1
+    return count, coeffs
 
 
 def root_multiplicity(p: Poly, r) -> int:
@@ -566,10 +471,8 @@ def root_multiplicity(p: Poly, r) -> int:
 
     With r = s/t in lowest terms, ``r`` is a root exactly when the
     primitive integer factor (t theta - s) divides the primitive integer
-    vector that ``p`` holds (Gauss's lemma).  One pass of synthetic
-    division gives the quotient and the remainder, and stops early at a
-    step that does not divide exactly; each exact pass deflates ``p``
-    once.  Integer arithmetic only, zero tolerance.
+    vector that ``p`` holds (Gauss's lemma); :func:`_deflate` counts
+    how often.  Integer arithmetic only, zero tolerance.
 
     ``r`` is read as :meth:`Poly.eval` reads a point: anything but a
     rational scalar, a float or a string among them, is ScalarModeError.
@@ -578,20 +481,7 @@ def root_multiplicity(p: Poly, r) -> int:
     if p.is_zero:
         raise ValueError("every point is a root of the zero polynomial")
     t, s = _rational_point(r)
-    coeffs = p._vector[::-1]
-    count = 0
-    while len(coeffs) > 1:
-        quotient, carry = [], 0
-        for x in coeffs[:-1]:
-            carry, rem = divmod(x + s * carry, t)
-            if rem:
-                return count
-            quotient.append(carry)
-        if coeffs[-1] + s * carry:
-            return count
-        coeffs = quotient
-        count += 1
-    return count
+    return _deflate(p._vector[::-1], t, s, p.degree)[0]
 
 
 def parse_rational(text: str) -> Fraction:

@@ -163,6 +163,11 @@ def test_field_over_the_csv_size_limit_exit_2_with_line_number(tmp_path, capsys,
      "4f81b00958a6ae02dfc274dfa23b8291e030a2cd560ed13e4f03ae27e486e7c0"),
     (["mldegree", "--c", "1", "1", "2", "-9/12", "5"],
      "04804f95f54e1fca93795df8a14ebb511091e8295a30c3d62009a6159d5ef328"),
+    # a repeated shift with a 1329-bit denominator, the shape of
+    # 1e-4299 1e-4299 1, whose gcd took 89 modular images before the
+    # count deflated h
+    (["mldegree", "--c", "1e-400", "1e-400", "1"],
+     "999c3118dbfbd09f691168b8887b3ec94aeeda29b584c61b8c013b883a702326"),
 ])
 def test_output_matches_golden_hash(capsys, argv, digest):
     assert main(argv) == 0
@@ -342,10 +347,11 @@ class TestVerify:
             assert failure["c"].count(value) == int(mult) + 1
 
     def test_one_gcd_per_checked_trial(self, monkeypatch):
-        # the count takes the degree of the gcd's integer vector
+        # the count takes deg gcd(h, k) off k's linear factors, once
         calls = []
-        real_gcd = polynomials._gcd_vector
-        monkeypatch.setattr(polynomials, "_gcd_vector", lambda a, b: calls.append(1) or real_gcd(a, b))
+        real_count = polynomials._gcd_degree
+        monkeypatch.setattr(polynomials, "_gcd_degree",
+                            lambda pairs, h: calls.append(1) or real_count(pairs, h))
         campaign = run_campaign(40, 9, 5)
         assert campaign.passed
         assert campaign.checks_run > 0
@@ -356,7 +362,7 @@ class TestVerify:
         calls = []
         real_build_k = polynomials._build_k
         monkeypatch.setattr(polynomials, "_build_k",
-                            lambda kind, shifts: calls.append(1) or real_build_k(kind, shifts))
+                            lambda pairs: calls.append(1) or real_build_k(pairs))
         campaign = run_campaign(40, 9, 5, patterns=[(2,), (3, 2), (2, 2, 2)])
         assert campaign.passed
         assert campaign.checks_run == 40
@@ -416,6 +422,25 @@ class TestVerify:
         campaign = run_campaign(1, 3, 1, [shape])
         assert (campaign.checks_run, sizes) == (1, [n])
         assert campaign.to_json_dict()["n_range"] == [2, 3]
+
+    def test_trial_needing_more_than_510_distinct_values_finishes(self):
+        # seed 5 draws n = 639 for the shape (2,): 638 distinct values,
+        # more than the 510 of the default draw, so the draw widens
+        campaign = run_campaign(1, 800, 5, [(2,)])
+        assert (campaign.checks_run, campaign.passed) == (1, True)
+        values = cli._distinct_rationals(random.Random(1), 2000)
+        assert len(set(values)) == 2000
+
+    def test_entries_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "root_multiplicity", lambda h, z: 0)
+        campaign = run_campaign(20, 3, 1, ["n", (2,)])
+        doc = json.dumps(campaign.to_json_dict())
+        for entry in campaign.failures + campaign.skipped:
+            with pytest.raises(TypeError):
+                entry["c"] = []
+            assert isinstance(entry["c"], tuple)
+        assert campaign.failures and campaign.skipped
+        assert json.dumps(campaign.to_json_dict()) == doc
 
     def test_campaign_api_records_failures_sorted(self):
         campaign = run_campaign(30, 6, 123)

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import re
 import warnings
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -471,12 +472,21 @@ PUBLIC_CLASSES = sorted(
     key=lambda cls: cls.__name__,
 )
 MUTABLE = (list, dict, set, bytearray)
+
+
+def _failing_campaign():
+    """A campaign with failure entries: every multiplicity reads 0."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polynomials, "root_multiplicity", lambda h, z: 0)
+        return run_campaign(5, 6, 1, [[2, 2]])
+
 RECORDS = {
     "exact profile": lambda: profile([Fraction(1, 2), 3, Fraction(1, 2)]),
     "float profile": lambda: profile(np.array([2.0, 2.0, 3.0])),
     "census": lambda: complex_roots(Poly((1, 2, 1))),
     "fit": lambda: fit(sample(50, 0.3, 1)),
     "campaign": lambda: run_campaign(5, 6, 1, [[2, 2], "n"]),
+    "failing campaign": lambda: _failing_campaign(),
     "c_shift": lambda: model.c_shift(sample(50, 0.3, 1)),
     "sample": lambda: sample(50, 0.3, 1),
     "Poly": lambda: Poly([1, Fraction(1, 3), 2]),
@@ -492,14 +502,22 @@ def test_every_public_record_type_is_frozen(cls):
         assert issubclass(cls, tuple)
 
 
+def is_mutable(value):
+    return isinstance(value, MUTABLE) or (isinstance(value, np.ndarray) and value.flags.writeable)
+
+
 @pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
 def test_public_records_hold_no_mutable_field(make):
-    # each field itself, not what a tuple field holds
+    # each field, each item of a tuple field, and each value of an item
+    # that is a mapping
     record = make()
     assert type(record) in PUBLIC_CLASSES
     fields = ([f.name for f in dataclasses.fields(record)] if dataclasses.is_dataclass(record)
               else record._fields)
     for name in fields:
         value = getattr(record, name)
-        assert not isinstance(value, MUTABLE), name
-        assert not (isinstance(value, np.ndarray) and value.flags.writeable), name
+        assert not is_mutable(value), name
+        for item in value if isinstance(value, tuple) else ():
+            assert not is_mutable(item), name
+            for inner in item.values() if isinstance(item, Mapping) else ():
+                assert not is_mutable(inner), name

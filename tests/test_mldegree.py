@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fgmexp import model, polynomials
@@ -389,13 +389,35 @@ oracle_values = st.one_of(
 def heavy_multisets(draw):
     """A value with a numerator of about 200 bits, repeated 30 to 32
     times, among ints and fractions of every size, some of them repeated:
-    the gcd of h and k then has coefficients of thousands of bits, which
-    takes hundreds of 30-bit images and as many lifts."""
+    the gcd of h and k then has coefficients of thousands of bits."""
     heavy = draw(big_rationals)
     others = draw(st.lists(oracle_values.filter(lambda v: v != heavy), min_size=1, max_size=8))
     repeats = draw(st.lists(st.sampled_from(others), max_size=4))
     mult = draw(st.integers(min_value=30, max_value=32))
     return list(draw(st.permutations([heavy] * mult + others + repeats)))
+
+
+# the prime of the count's screen, which reads h modulo it
+SCREEN_PRIME = 2**30 - 35
+
+
+@st.composite
+def count_multisets(draw):
+    """At least two distinct shifts, with forced repeats, drawn from one
+    of four pools: small rationals, integers only, integers congruent
+    modulo the screen's prime, and fractions whose denominator is a
+    multiple of that prime, each pool mixed with a few small values."""
+    congruent = st.builds(lambda r, j: r + j * SCREEN_PRIME,
+                          st.integers(-3, 3).filter(bool), st.integers(-2, 2))
+    over_prime = st.builds(lambda num, j: F(num, j * SCREEN_PRIME),
+                           st.integers(-5, 5).filter(bool), st.integers(1, 3))
+    pool = draw(st.sampled_from([rationals, st.integers(-20, 20).filter(bool), congruent,
+                                 over_prime]))
+    base = draw(st.lists(st.one_of(pool, pool, rationals), min_size=2, max_size=6, unique=True))
+    c = draw(st.lists(st.sampled_from(base), min_size=2, max_size=12))
+    if len(set(c)) < 2:
+        c.append(next(v for v in base if v != c[0]))
+    return c
 
 
 def near_equal_shifts():
@@ -421,21 +443,23 @@ class TestMlDegreeAlgebraic:
     def test_equals_sympy_count(self, c):
         assert ml_degree_algebraic(c) == sympy_ml_degree(c)
 
-    def test_reconstructs_each_coefficient_about_once(self, monkeypatch):
+    def test_value_repeated_33_times_among_big_shifts(self):
         # the gcd is (theta + c)**32 with c about 2**200 / 7, whose
-        # coefficients take 427 images; lifting from scratch after each
-        # image reconstructed 6153 coefficients, about 14 per image
+        # coefficients have thousands of bits; the count deflates h by
+        # (7 theta + 2**200 + 12345) 32 times
         c = [F(2**200 + 12345, 7)] * 33 + [3, F(-5, 2), 7, F(2**199 + 1, 2**60 + 3),
                                            F(2**200 - 1, 5)]
-        calls = {"image": 0, "rr": 0}
-        for name, key in (("_gcd_mod", "image"), ("_rational_reconstruction", "rr")):
-            real = getattr(polynomials, name)
-            monkeypatch.setattr(polynomials, name,
-                                lambda *a, real=real, key=key: calls.update({key: calls[key] + 1}) or real(*a))
         assert ml_degree_algebraic(c) == sympy_ml_degree(c) == 5
-        # one failed reconstruction per image, and one success per coefficient
-        assert calls["image"] > 400
-        assert calls["rr"] <= calls["image"] + 2 * 33
+
+    @given(count_multisets())
+    @example([F(1), F(1), F(1 + SCREEN_PRIME), F(5)])
+    @example([F(1, SCREEN_PRIME)] * 3 + [F(2, SCREEN_PRIME), F(-2)])
+    @settings(max_examples=150, deadline=None)
+    def test_count_equals_sympy_count(self, c):
+        # two distinct roots congruent modulo the screen's prime pass the
+        # screen, and a denominator that is a multiple of it skips it;
+        # exact deflation decides both
+        assert ml_degree_algebraic(c) == sympy_ml_degree(c)
 
     def test_worked_example(self):
         assert ml_degree_algebraic([F(1), F(1), F(2)]) == 1

@@ -1,4 +1,3 @@
-import itertools
 import math
 import sys
 from fractions import Fraction
@@ -99,40 +98,6 @@ def common_and_cofactors(draw):
     if shifts:
         common = multiply(build_k(shifts), common)
     return tuple(multiply(common, draw(small_polys)) for _ in range(2))
-
-
-def splice_divides(g, a):
-    """The exact-division check ``gcd`` used before its dot-product
-    form: long division that splices q times the divisor's tail into the
-    dividend, row by row; descending coefficients."""
-    a = list(a)
-    lead, tail = g[0], g[1:]
-    for i in range(len(a) - len(tail)):
-        q, r = divmod(a[i], lead)
-        if r:
-            return False
-        if q:
-            a[i + 1:i + len(g)] = [x - q * y for x, y in zip(a[i + 1:i + len(g)], tail)]
-    return not any(a[len(a) - len(tail):])
-
-
-@st.composite
-def divisions(draw):
-    """An integer divisor g of degree 0 to 6, leading coefficient +-1 to
-    +-3, and the product a of g and a random quotient, with one
-    coefficient of a nudged by +-1 in about half the draws; descending
-    coefficients, some of about 200 bits."""
-    coeff = st.one_of(st.integers(-9, 9), st.integers(-2**200, 2**200))
-    g = [draw(st.sampled_from((1, -1, 2, -2, 3, -3)))]
-    g += draw(st.lists(coeff, max_size=6))
-    q = [draw(coeff.filter(bool))] + draw(st.lists(coeff, max_size=8))
-    a = [0] * (len(g) + len(q) - 1)
-    for i, x in enumerate(g):
-        for j, y in enumerate(q):
-            a[i + j] += x * y
-    if draw(st.booleans()):
-        a[draw(st.integers(0, len(a) - 1))] += draw(st.sampled_from((1, -1)))
-    return g, a
 
 
 class TestPoly:
@@ -340,92 +305,47 @@ class TestGcd:
         got = gcd(a, b)
         assert got.coeffs == tuple(F(int(c.p), int(c.q)) for c in reversed(want.all_coeffs()))
 
-    def test_primes_are_the_largest_below_two_to_the_30(self):
-        # the prevprime chain from 2**30 runs past the end of the first
-        # sieve window into the second
-        first = polynomials._prime_window(2**30)
-        primes = list(itertools.islice(polynomials._primes(), len(first) + 200))
-        chain = [sympy.prevprime(2**30)]
-        while len(chain) < len(primes):
-            chain.append(sympy.prevprime(chain[-1]))
-        assert primes == chain
-        assert primes[len(first)] < 2**30 - 2**16 < primes[len(first) - 1]
-        # the last window, where the sieving primes must stay and 0 and 1
-        # must go
-        assert list(polynomials._prime_window(2**16)) == list(sympy.primerange(2**16))[::-1]
+    # the four largest primes below 2**30
+    PRIMES = (1073741789, 1073741783, 1073741741, 1073741723)
 
-    @pytest.mark.parametrize("unlucky", [(0, 1, 2), (1, 2), (3,)])
-    def test_unlucky_primes_are_dropped(self, unlucky):
+    @pytest.mark.parametrize("moduli", [(0, 1, 2), (1, 2), (3,)],
+                             ids=["three-primes", "two-primes", "one-prime"])
+    def test_shifts_congruent_modulo_large_primes(self, moduli):
         # theta - 1 and theta - 1 - P coincide modulo every prime dividing
-        # P, where the images see a common factor of degree 2 although
-        # the true gcd, theta - 3**130, has degree 1; its 207-bit root
-        # takes about fourteen primes, so unlucky primes after lucky ones
-        # are met too
-        primes = list(itertools.islice(polynomials._primes(), 4))
-        big = math.prod(primes[i] for i in unlucky)
+        # P, but the true gcd is theta - 3**130
+        big = math.prod(self.PRIMES[i] for i in moduli)
         a = build_k([F(-3**130), F(-1)])
         b = build_k([F(-3**130), F(-1 - big)])
         assert gcd(a, b).coeffs == (F(-3**130), F(1))
 
     def test_prime_dividing_a_leading_coefficient_is_skipped(self):
-        # modulo p the factor (p theta + 1) drops to the constant 1, so the
-        # image of the gcd loses a degree; that prime must not set the
-        # degree bound, or no candidate would ever pass
-        p = next(polynomials._primes())
+        # the factor (P theta + 1) drops to the constant 1 modulo P, the
+        # prime of the count's screen, which skips that factor; the gcd
+        # and the count must both keep it
+        p = self.PRIMES[0]
         shared = Poly((F(1), F(p)))  # p theta + 1
         a = multiply(shared, build_k([F(-2), F(-3)]))
         b = multiply(shared, build_k([F(-2), F(5)]))
         assert gcd(a, b) == multiply(Poly((F(1, p), F(1))), Poly((F(-2), F(1))))
+        c = [F(1, p), F(1, p), F(1, p), F(-2), F(3)]
+        assert polynomials._gcd_degree([(p, 1)] * 3 + [(1, -2), (1, 3)], build_h(c)) == 2
 
-    def test_gcd_needing_more_primes_than_the_table(self, monkeypatch):
-        # rational reconstruction needs a modulus above twice the square
-        # of the 4300-bit coefficient: about 290 primes
-        used = []
-        real = polynomials._gcd_mod
-        monkeypatch.setattr(polynomials, "_gcd_mod", lambda a, b, p: used.append(p) or real(a, b, p))
+    def test_gcd_of_a_4300_bit_common_factor(self):
         g = build_k([F(10**1300, 7), F(3)])
         a = multiply(g, build_k([F(1)]))
         b = multiply(g, build_k([F(-1, 2)]))
         assert gcd(a, b) == g
-        assert len(used) > 64
 
-    @pytest.mark.parametrize("values", [
-        ([F(10**130, 7)] * 6 + [F(3), F(-1, 2)], [F(10**130, 7)] * 5 + [F(2)]),
-        ([F(-3**130), F(-1)], [F(-3**130), F(5, 3)]),
-        ([F(2**90 + 1, 3**20)] * 4 + [F(1)] * 3, [F(2**90 + 1, 3**20)] * 3 + [F(1)] * 2 + [F(7)]),
-    ])
-    def test_resumed_lifts_match_lifts_from_scratch(self, monkeypatch, values):
-        # the coefficients that stand are those a lift from scratch finds,
-        # so both take the same images to the same gcd
+    @pytest.mark.parametrize("values,common", [
+        (([F(10**130, 7)] * 6 + [F(3), F(-1, 2)], [F(10**130, 7)] * 5 + [F(2)]),
+         [F(10**130, 7)] * 5),
+        (([F(-3**130), F(-1)], [F(-3**130), F(5, 3)]), [F(-3**130)]),
+        (([F(2**90 + 1, 3**20)] * 4 + [F(1)] * 3, [F(2**90 + 1, 3**20)] * 3 + [F(1)] * 2 + [F(7)]),
+         [F(2**90 + 1, 3**20)] * 3 + [F(1)] * 2),
+    ], ids=["five-repeats", "one-shared-shift", "two-repeated-shifts"])
+    def test_gcd_of_big_repeated_shifts(self, values, common):
         a, b = (build_k(v) for v in values)
-        real_lift, real_image = polynomials._lift, polynomials._gcd_mod
-        primes = []
-        monkeypatch.setattr(polynomials, "_gcd_mod", lambda x, y, p: primes.append(p) or real_image(x, y, p))
-        resumed, resumed_primes = gcd(a, b), list(primes)
-        primes.clear()
-        monkeypatch.setattr(polynomials, "_lift", lambda r, m, pairs: real_lift(r, m, []))
-        assert gcd(a, b) == resumed
-        assert primes == resumed_primes and len(primes) > 3
-
-    def test_exact_division_check_needs_a_zero_remainder(self):
-        # a leading coefficient of 1 divides every step; only the
-        # remainder tells theta + 1 from a divisor of theta^2 + 1
-        assert not polynomials._divides([1, 1], [1, 0, 1])
-        assert polynomials._divides([1, 1], [1, 0, -1])
-
-    def test_exact_division_check_matches_the_splice_algorithm(self):
-        verdicts = set()
-
-        @given(divisions())
-        @settings(max_examples=400, deadline=None)
-        def check(case):
-            g, a = case
-            verdict = polynomials._divides(g, a)
-            assert verdict == splice_divides(g, a)
-            verdicts.add(verdict)
-
-        check()
-        assert verdicts == {True, False}
+        assert gcd(a, b) == build_k(common)
 
     def test_gcd_with_zero_is_the_monic_other(self):
         p = Poly((F(4), F(2)))
@@ -444,6 +364,24 @@ class TestGcd:
             counts[v] = counts.get(v, 0) + 1
         expected = sum(mult - 1 for mult in counts.values() if mult > 1)
         assert gcd(h, k).degree == expected
+
+
+class TestGcdDegree:
+    @given(c_lists(8), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_degree_of_sympy_gcd_with_k(self, shifts, data):
+        # h is a small polynomial times factors (theta + v), v drawn with
+        # repeats from the shifts and beyond, so a factor may divide h
+        # more often than it occurs in k, or not at all
+        extra = data.draw(st.lists(rationals, max_size=2))
+        divisors = data.draw(st.lists(st.sampled_from(shifts + extra), max_size=8))
+        h = data.draw(small_polys)
+        if divisors:
+            h = multiply(build_k(divisors), h)
+        pairs = [(F(v).denominator, F(v).numerator) for v in shifts]
+        x = sympy.Symbol("x")
+        want = sympy.gcd(to_sympy(h, x), to_sympy(build_k(shifts), x))
+        assert polynomials._gcd_degree(pairs, h) == sympy.Poly(want, x).degree()
 
 
 class TestRootMultiplicity:
