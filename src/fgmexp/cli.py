@@ -144,7 +144,7 @@ def _trial_checks(c: list[Fraction]) -> list[dict]:
     kind, shifts, values = polynomials._linear_factors(c)
     prof = mldegree._profile(kind, shifts, values)
     md_formula = mldegree.ml_degree_formula(prof)
-    md_algebraic, h = mldegree._algebraic_count_and_h(kind, shifts)
+    md_algebraic, exponents = mldegree._algebraic_count_and_exponents(kind, shifts)
     if md_formula != md_algebraic:
         failures.append(
             {
@@ -163,8 +163,10 @@ def _trial_checks(c: list[Fraction]) -> list[dict]:
                 "detail": f"gcd degree {gcd_degree} vs repeats {has_repeat}",
             }
         )
+    # the count measured how often each shift's factor divides h, capped
+    # at how often it occurs in k, a cap that h = k' never reaches
     for zero, mult in mldegree.common_zeros(prof):
-        observed = polynomials.root_multiplicity(h, zero)
+        observed = exponents.get((zero.denominator, -zero.numerator), 0)
         if observed != mult:
             failures.append(
                 {

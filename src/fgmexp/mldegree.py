@@ -19,7 +19,7 @@ k, of how often each divides h, capped at how often it occurs in k.
 Each is measured by exact deflation of h, never read off the closed
 formula's n_i - 1, and the factors are grouped by the route itself, not
 by the profile, so a wrong profile still disagrees
-(:func:`~fgmexp.polynomials._gcd_degree`).
+(:func:`~fgmexp.polynomials._gcd_exponents`).
 
 When every shift value is equal the cleared score equation collapses and
 the count is undefined; that case raises :class:`AllEqualError`, which
@@ -244,24 +244,26 @@ def ml_degree_algebraic(c: Sequence) -> int:
     for every i.  Conversely n equal values give h = n (theta + a)^(n-1),
     which divides k.
     """
-    return _algebraic_count_and_h(*polynomials._linear_factors(c)[:2])[0]
+    return _algebraic_count_and_exponents(*polynomials._linear_factors(c)[:2])[0]
 
 
-def _algebraic_count_and_h(kind: str, shifts: list | np.ndarray) -> tuple[int, polynomials.Poly]:
+def _algebraic_count_and_exponents(kind: str, shifts: list | np.ndarray) -> tuple[int, dict]:
     """:func:`ml_degree_algebraic`'s count of the shifts as
     :func:`~fgmexp.polynomials._linear_factors` read them, their kind
-    and checked values, together with the h = k' it built, for callers
-    that also need h.  deg gcd(h, k) is read off k's own linear factors
-    by :func:`~fgmexp.polynomials._gcd_degree`."""
+    and checked values, together with the exponents of gcd(h, k) it
+    measured, keyed by the shifts' (d, n) pairs, for callers that also
+    check a multiplicity.  Both come from
+    :func:`~fgmexp.polynomials._gcd_exponents`, off k's own linear
+    factors."""
     pairs = polynomials._factor_pairs(kind, shifts)
     k = polynomials._build_k(pairs)
-    h = k.derivative()
     n = k.degree
-    count = n - 1 - polynomials._gcd_degree(pairs, h)
+    exponents = polynomials._gcd_exponents(pairs, k.derivative())
+    count = n - 1 - sum(exponents.values())
     if count == 0 and n >= 2:
         # k = (theta + a)^n, whose theta^(n-1) coefficient is n a
         raise AllEqualError(k.coeffs[-2] / n, n)
-    return count, h
+    return count, exponents
 
 
 def _serialize_value(v):
@@ -294,7 +296,7 @@ def ml_degree_report(c: Sequence) -> dict:
         "mode": prof.mode,
     }
     if prof.mode == "exact":
-        alg = _algebraic_count_and_h(kind, shifts)[0]
+        alg = _algebraic_count_and_exponents(kind, shifts)[0]
         doc["oracle"] = {
             "formula": md,
             "algebraic": alg,

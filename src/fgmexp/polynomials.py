@@ -46,18 +46,24 @@ integer derivative divided by its content.
 division.
 
 The algebraic count needs deg gcd(h, k), and takes it off k's own
-linear factors (:func:`_gcd_degree`): by unique factorisation in
+linear factors (:func:`_gcd_exponents`): by unique factorisation in
 Q[theta], gcd(h, k) is the product of the distinct factors f_g of k,
 each to the power min(v_g, n_g), where n_g is how often f_g occurs in k
-and v_g how often it divides h.  Each v_g is measured by the deflation
-of :func:`root_multiplicity`, after a one-sided screen: a nonzero value
-of h at the factor's root modulo the prime 2**30 - 35 proves v_g = 0.
-The count is exact, and no general gcd is taken, so a repeated shift
-with a denominator of thousands of digits costs a few deflations, where
-a multi-prime gcd needed hundreds of modular images and failed
-reconstructions.  :func:`gcd`, for two arbitrary polynomials, is a
-primitive remainder sequence on the integer vectors, exact and meant
-for small degrees.
+and v_g how often it divides h.  Each min(v_g, n_g) is measured by the
+deflation of :func:`root_multiplicity`, capped by a one-sided screen at
+the integer point t = 2**24 (Kronecker substitution): H = h(t) is
+computed once, and the cap is the largest e <= n_g with f_g(t)**e
+dividing H.  By Gauss's lemma f_g**v_g divides h in Z[theta], so
+f_g(t)**v_g divides H, and the cap is never below min(v_g, n_g); a cap
+of 0 proves v_g = 0.  Only the shift -2**24 has f_g(t) = 0, and its cap
+is n_g.  At 2**24 a factor's value d * 2**24 + n is one CPython digit
+for d < 64 and |n| < 2**24, so each test is one C division where a
+Horner loop over h ran before.  The count is exact, and no general gcd
+is taken, so a repeated shift with a denominator of thousands of digits
+costs a few deflations, where a multi-prime gcd needed hundreds of
+modular images and failed reconstructions.  :func:`gcd`, for two
+arbitrary polynomials, is a primitive remainder sequence on the integer
+vectors, exact and meant for small degrees.
 """
 
 from __future__ import annotations
@@ -374,7 +380,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
     coefficients to the size of the remainders' primitive parts, but
     those grow with the degree, so the gcd of h = k' and k for 80 random
     shifts takes seconds.  The ML-degree count does not call it; it
-    takes deg gcd(h, k) off k's own linear factors (:func:`_gcd_degree`).
+    takes deg gcd(h, k) off k's own linear factors (:func:`_gcd_exponents`).
 
     Raises ValueError for two zero polynomials; a zero input gives the
     monic form of the other.
@@ -395,23 +401,26 @@ def gcd(a: Poly, b: Poly) -> Poly:
     return _rational(list(f), Fraction(1, f[-1]))
 
 
-# The screen's prime, the largest below 2**30: a residue is one digit of a
-# CPython integer, and a product of two stays below 2**60.
-_SCREEN_PRIME = 2**30 - 35
+# The screen's point is 2**_SCREEN_BITS.  A factor's value d * 2**24 + n
+# there is one 30-bit CPython digit when d < 64 and |n| < 2**24, so each
+# test is a single-digit division in C; at 2**16 the values are often
+# smooth, and factors that do not divide h pass the screen more often.
+_SCREEN_BITS = 24
 
 
-def _gcd_degree(pairs: list[tuple[int, int]], h: Poly) -> int:
-    """deg gcd(h, k) for a nonzero h and the k whose factors are the
-    (d theta + n) of the lowest-terms (d, n) pairs given, d > 0.
+def _gcd_exponents(pairs: list[tuple[int, int]], h: Poly) -> dict[tuple[int, int], int]:
+    """The exponents of gcd(h, k) for a nonzero h and the k whose factors
+    are the (d theta + n) of the lowest-terms (d, n) pairs given, d > 0:
+    each distinct pair whose factor divides both, mapped to that
+    factor's exponent.  deg gcd(h, k) is the sum of the values.
 
     Distinct pairs give pairwise coprime factors, so by unique
     factorisation in Q[theta] every divisor of k is a product of them,
     and gcd(h, k) is the product over the distinct factors f_g of
     f_g**min(v_g, n_g), where n_g is how often f_g occurs in k and v_g
-    how often it divides h.  The degree is the sum of the min(v_g, n_g),
-    and no general gcd is taken.  The pairs are grouped here, by their
-    own Counter, never by a profile's group sizes, so a wrong profile
-    still disagrees with the count.
+    how often it divides h; no general gcd is taken.  The pairs are
+    grouped here, by their own Counter, never by a profile's group
+    sizes, so a wrong profile still disagrees with the count.
 
     Each v_g, capped at n_g, is measured by exact deflation, as
     :func:`root_multiplicity` measures a multiplicity (:func:`_deflate`).
@@ -419,27 +428,35 @@ def _gcd_degree(pairs: list[tuple[int, int]], h: Poly) -> int:
     pairwise coprime, so dividing h by one of them leaves how often each
     other divides it unchanged.
 
-    A one-sided screen runs first: Horner's rule gives h(-n_g/d_g)
-    modulo the prime P = 2**30 - 35, on h itself.  If f_g divides h,
-    then by Gauss's lemma h = f_g q with q integral, so the residue is
-    0; a nonzero residue therefore proves v_g = 0.  A zero residue proves nothing
-    (two distinct roots may be congruent mod P), and deflation decides.
-    A factor whose d_g is a multiple of P has no root mod P and goes to
-    deflation unscreened.
+    A one-sided screen caps each deflation first.  The integer H = h(t)
+    at t = 2**24 is computed once, by shift-and-add Horner on h's
+    primitive vector, and the cap is the largest e <= n_g for which
+    f_g(t)**e divides H.  f_g is primitive, so by Gauss's lemma
+    f_g**v_g divides h in Z[theta], and then f_g(t)**v_g divides h(t):
+    the cap is at least min(v_g, n_g), and deflation up to it measures
+    min(v_g, n_g) exactly.  A cap of 0 proves v_g = 0 and skips the
+    deflation.  H is divided only on a copy, as two factors' values may
+    share integer factors.  f_g(t) is 0 only for the shift -2**24,
+    whose cap is n_g.
     """
     coeffs = h._vector[::-1]
-    residues = [x % _SCREEN_PRIME for x in coeffs]
-    degree = 0
+    value = 0
+    for x in coeffs:
+        value = (value << _SCREEN_BITS) + x
+    exponents = {}
     for (d, n), size in Counter(pairs).items():
-        if d % _SCREEN_PRIME:
-            root, acc = -n * pow(d, -1, _SCREEN_PRIME) % _SCREEN_PRIME, 0
-            for x in residues:
-                acc = (acc * root + x) % _SCREEN_PRIME
-            if acc:
-                continue
-        count, coeffs = _deflate(coeffs, d, -n, size)
-        degree += count
-    return degree
+        f, cap, rest = (d << _SCREEN_BITS) + n, 0, value
+        while cap < size:
+            if f:
+                rest, rem = divmod(rest, f)
+                if rem:
+                    break
+            cap += 1
+        if cap:
+            count, coeffs = _deflate(coeffs, d, -n, cap)
+            if count:
+                exponents[d, n] = count
+    return exponents
 
 
 def _deflate(coeffs: Sequence[int], t: int, s: int, cap: int) -> tuple[int, Sequence[int]]:

@@ -286,6 +286,14 @@ class TestMlDegree:
         assert err.value.code == 2
 
 
+def zero_exponents(patch):
+    """Make every trial measure each common zero's multiplicity as 0,
+    with the count itself left right."""
+    real = mldegree._algebraic_count_and_exponents
+    patch.setattr(mldegree, "_algebraic_count_and_exponents",
+                  lambda kind, shifts: (real(kind, shifts)[0], {}))
+
+
 class TestVerify:
     def test_default_campaign_passes(self, capsys):
         # stock invocation: 500 trials, n up to 10, seed 7
@@ -324,8 +332,8 @@ class TestVerify:
     def test_wrong_algebraic_count_fails_both_checks_that_use_it(self, monkeypatch):
         # n - 1 is the count of a multiset without repeats, so both the
         # formula cross-check and the common-zero biconditional must fail
-        real = mldegree._algebraic_count_and_h
-        monkeypatch.setattr(mldegree, "_algebraic_count_and_h",
+        real = mldegree._algebraic_count_and_exponents
+        monkeypatch.setattr(mldegree, "_algebraic_count_and_exponents",
                             lambda kind, shifts: (len(shifts) - 1, real(kind, shifts)[1]))
         campaign = run_campaign(5, 8, 3, patterns=[(2, 2)])
         assert campaign.checks_run == 5
@@ -337,8 +345,9 @@ class TestVerify:
 
     def test_wrong_multiplicity_fails_once_per_repeated_value(self, monkeypatch):
         # each repeated shift is checked at its common zero and reported
-        # by the shift itself, with the multiplicity its group implies
-        monkeypatch.setattr(polynomials, "root_multiplicity", lambda h, z: 0)
+        # by the shift itself, with the multiplicity its group implies;
+        # the count stays right and every measured exponent reads 0
+        zero_exponents(monkeypatch)
         campaign = run_campaign(5, 8, 3, patterns=[(2, 3)])
         assert campaign.checks_run == 5
         assert [f["check"] for f in campaign.failures] == ["repeated-shift-multiplicity"] * 10
@@ -349,8 +358,8 @@ class TestVerify:
     def test_one_gcd_per_checked_trial(self, monkeypatch):
         # the count takes deg gcd(h, k) off k's linear factors, once
         calls = []
-        real_count = polynomials._gcd_degree
-        monkeypatch.setattr(polynomials, "_gcd_degree",
+        real_count = polynomials._gcd_exponents
+        monkeypatch.setattr(polynomials, "_gcd_exponents",
                             lambda pairs, h: calls.append(1) or real_count(pairs, h))
         campaign = run_campaign(40, 9, 5)
         assert campaign.passed
@@ -432,7 +441,7 @@ class TestVerify:
         assert len(set(values)) == 2000
 
     def test_entries_are_read_only(self, monkeypatch):
-        monkeypatch.setattr(polynomials, "root_multiplicity", lambda h, z: 0)
+        zero_exponents(monkeypatch)
         campaign = run_campaign(20, 3, 1, ["n", (2,)])
         doc = json.dumps(campaign.to_json_dict())
         for entry in campaign.failures + campaign.skipped:

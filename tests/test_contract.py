@@ -476,8 +476,10 @@ MUTABLE = (list, dict, set, bytearray)
 
 def _failing_campaign():
     """A campaign with failure entries: every multiplicity reads 0."""
+    real = mldegree._algebraic_count_and_exponents
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(polynomials, "root_multiplicity", lambda h, z: 0)
+        patch.setattr(mldegree, "_algebraic_count_and_exponents",
+                      lambda kind, shifts: (real(kind, shifts)[0], {}))
         return run_campaign(5, 6, 1, [[2, 2]])
 
 RECORDS = {

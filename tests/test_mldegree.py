@@ -397,22 +397,31 @@ def heavy_multisets(draw):
     return list(draw(st.permutations([heavy] * mult + others + repeats)))
 
 
-# the prime of the count's screen, which reads h modulo it
-SCREEN_PRIME = 2**30 - 35
+# the largest prime below 2**30
+BIG_PRIME = 2**30 - 35
+# the count's screen evaluates h at this point
+SCREEN_POINT = 2**24
 
 
 @st.composite
 def count_multisets(draw):
     """At least two distinct shifts, with forced repeats, drawn from one
-    of four pools: small rationals, integers only, integers congruent
-    modulo the screen's prime, and fractions whose denominator is a
-    multiple of that prime, each pool mixed with a few small values."""
-    congruent = st.builds(lambda r, j: r + j * SCREEN_PRIME,
+    of six pools: small rationals, integers only, integers congruent
+    modulo a large prime, fractions whose denominator is a multiple of
+    it, integers near multiples of the screen's point (-2**24 among
+    them, whose factor is 0 there), and fractions whose factor's value
+    there is at most 2 in size, which pass the screen whatever h is;
+    each pool is mixed with a few small values."""
+    congruent = st.builds(lambda r, j: r + j * BIG_PRIME,
                           st.integers(-3, 3).filter(bool), st.integers(-2, 2))
-    over_prime = st.builds(lambda num, j: F(num, j * SCREEN_PRIME),
+    over_prime = st.builds(lambda num, j: F(num, j * BIG_PRIME),
                            st.integers(-5, 5).filter(bool), st.integers(1, 3))
+    near_point = st.builds(lambda r, j: r + j * SCREEN_POINT,
+                           st.integers(-3, 3), st.integers(-2, 2)).filter(bool)
+    small_value = st.builds(lambda r, d: F(r - d * SCREEN_POINT, d),
+                            st.integers(-2, 2), st.integers(1, 3))
     pool = draw(st.sampled_from([rationals, st.integers(-20, 20).filter(bool), congruent,
-                                 over_prime]))
+                                 over_prime, near_point, small_value]))
     base = draw(st.lists(st.one_of(pool, pool, rationals), min_size=2, max_size=6, unique=True))
     c = draw(st.lists(st.sampled_from(base), min_size=2, max_size=12))
     if len(set(c)) < 2:
@@ -452,14 +461,24 @@ class TestMlDegreeAlgebraic:
         assert ml_degree_algebraic(c) == sympy_ml_degree(c) == 5
 
     @given(count_multisets())
-    @example([F(1), F(1), F(1 + SCREEN_PRIME), F(5)])
-    @example([F(1, SCREEN_PRIME)] * 3 + [F(2, SCREEN_PRIME), F(-2)])
+    @example([F(1), F(1), F(1 + BIG_PRIME), F(5)])
+    @example([F(1, BIG_PRIME)] * 3 + [F(2, BIG_PRIME), F(-2)])
+    @example([F(-SCREEN_POINT)] * 2 + [F(1)])
+    @example([F(1 - SCREEN_POINT)] * 3 + [F(1 - 2 * SCREEN_POINT, 2), F(2)])
     @settings(max_examples=150, deadline=None)
     def test_count_equals_sympy_count(self, c):
-        # two distinct roots congruent modulo the screen's prime pass the
-        # screen, and a denominator that is a multiple of it skips it;
-        # exact deflation decides both
+        # shifts that differ by multiples of a large prime, denominators
+        # of many bits, and factors whose value at the screen's point is
+        # 0 or divides anything: the count must stay exact on each
         assert ml_degree_algebraic(c) == sympy_ml_degree(c)
+
+    @pytest.mark.parametrize("c", [
+        [-2**24, -2**24, 1],
+        [F(-2**24), F(-2**24), F(1)],
+        [-16777216.0, -16777216.0, 3.0],
+    ], ids=["int", "Fraction", "float"])
+    def test_shift_whose_factor_is_zero_at_the_screen_point(self, c):
+        assert ml_degree_algebraic(c) == 1
 
     def test_worked_example(self):
         assert ml_degree_algebraic([F(1), F(1), F(2)]) == 1

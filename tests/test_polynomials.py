@@ -318,17 +318,17 @@ class TestGcd:
         b = build_k([F(-3**130), F(-1 - big)])
         assert gcd(a, b).coeffs == (F(-3**130), F(1))
 
-    def test_prime_dividing_a_leading_coefficient_is_skipped(self):
-        # the factor (P theta + 1) drops to the constant 1 modulo P, the
-        # prime of the count's screen, which skips that factor; the gcd
-        # and the count must both keep it
+    def test_factor_with_a_large_leading_coefficient(self):
+        # the factor (P theta + 1), P a prime near 2**30, whose value at
+        # the count's point 2**24 spans two CPython digits; the gcd and
+        # the count must both keep it
         p = self.PRIMES[0]
         shared = Poly((F(1), F(p)))  # p theta + 1
         a = multiply(shared, build_k([F(-2), F(-3)]))
         b = multiply(shared, build_k([F(-2), F(5)]))
         assert gcd(a, b) == multiply(Poly((F(1, p), F(1))), Poly((F(-2), F(1))))
         c = [F(1, p), F(1, p), F(1, p), F(-2), F(3)]
-        assert polynomials._gcd_degree([(p, 1)] * 3 + [(1, -2), (1, 3)], build_h(c)) == 2
+        assert polynomials._gcd_exponents([(p, 1)] * 3 + [(1, -2), (1, 3)], build_h(c)) == {(p, 1): 2}
 
     def test_gcd_of_a_4300_bit_common_factor(self):
         g = build_k([F(10**1300, 7), F(3)])
@@ -381,7 +381,26 @@ class TestGcdDegree:
         pairs = [(F(v).denominator, F(v).numerator) for v in shifts]
         x = sympy.Symbol("x")
         want = sympy.gcd(to_sympy(h, x), to_sympy(build_k(shifts), x))
-        assert polynomials._gcd_degree(pairs, h) == sympy.Poly(want, x).degree()
+        assert sum(polynomials._gcd_exponents(pairs, h).values()) == sympy.Poly(want, x).degree()
+
+    # (theta + 1) has the value 2**24 + 1 at the screen's point 2**24,
+    # which divides h(2**24) for these h, so the screen passes it and
+    # deflation decides; (theta + 2**24 + 2) has twice that value, so
+    # dividing h(2**24) by the first factor's value would lose it
+    @pytest.mark.parametrize("pairs,h,want", [
+        ([(1, 1)], Poly((2**24 + 2, 1)), {}),
+        ([(1, 1)] * 3, multiply(Poly((1, 1)), Poly((2**24 + 2, 1))), {(1, 1): 1}),
+        ([(1, 1)] * 2 + [(1, 2**24 + 2)] * 2, multiply(Poly((1, 1)), Poly((2**24 + 2, 1))),
+         {(1, 1): 1, (1, 2**24 + 2): 1}),
+    ], ids=["factor-value-divides", "square-of-factor-value-divides", "factor-values-share-a-factor"])
+    def test_screen_passes_and_deflation_decides(self, pairs, h, want):
+        assert polynomials._gcd_exponents(pairs, h) == want
+
+    def test_shift_with_a_zero_factor_value(self):
+        # (theta - 2**24) is 0 at the screen's point, and so is h there
+        h = multiply(Poly((-2**24, 1)), Poly((3, 1)))
+        assert polynomials._gcd_exponents([(1, -2**24)] * 2 + [(1, 5)], h) == {(1, -2**24): 1}
+        assert polynomials._gcd_exponents([(1, -2**24)], Poly((3, 1))) == {}
 
 
 class TestRootMultiplicity:
