@@ -242,7 +242,10 @@ def ml_degree_algebraic(c: Sequence) -> int:
     k = h (theta + a) / n; then k'/k = n / (theta + a), and since k'/k is
     also the sum of the 1/(theta + c_i), partial fractions give c_i = a
     for every i.  Conversely n equal values give h = n (theta + a)^(n-1),
-    which divides k.
+    which divides k.  The error's ``value`` a is read off k's own integer
+    vector, never the profile: n values a = b/d in lowest terms give
+    the vector of (d theta + b)^n = d^n (theta + a)^n, whose
+    coefficients of theta^n and theta^(n-1) are d^n and n a d^n.
     """
     return _algebraic_count_and_exponents(*polynomials._linear_factors(c)[:2])[0]
 
@@ -257,12 +260,14 @@ def _algebraic_count_and_exponents(kind: str, shifts: list | np.ndarray) -> tupl
     factors."""
     pairs = polynomials._factor_pairs(kind, shifts)
     k = polynomials._build_k(pairs)
-    n = k.degree
-    exponents = polynomials._gcd_exponents(pairs, k.derivative())
+    n = len(pairs)
+    # k' with its content left in, highest degree first
+    exponents = polynomials._gcd_exponents(pairs, [i * x for i, x in enumerate(k)][:0:-1])
     count = n - 1 - sum(exponents.values())
     if count == 0 and n >= 2:
-        # k = (theta + a)^n, whose theta^(n-1) coefficient is n a
-        raise AllEqualError(k.coeffs[-2] / n, n)
+        # k = d^n (theta + a)^n, whose theta^n and theta^(n-1)
+        # coefficients are d^n and n a d^n
+        raise AllEqualError(Fraction(k[-2], n * k[-1]), n)
     return count, exponents
 
 

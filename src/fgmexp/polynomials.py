@@ -40,10 +40,13 @@ polynomial is held as a primitive integer vector times a rational scale,
 and the Fraction coefficients are built from them on each read.
 :func:`build_k` multiplies the integer factors (d_i theta + n_i) of the
 shifts n_i/d_i, two to a pass as one quadratic; each factor is
-primitive, so by Gauss's lemma so is the product, and h = k' is its
+primitive, so by Gauss's lemma so is the product, which
+:func:`build_k` wraps into a :class:`Poly` once, and h = k' is its
 integer derivative divided by its content.
 :func:`root_multiplicity` deflates the integer vector by synthetic
-division.
+division.  The algebraic count never builds a :class:`Poly`: it takes
+k's integer vector from :func:`_build_k` and hands the integer vector
+of k' to :func:`_gcd_exponents`.
 
 The algebraic count needs deg gcd(h, k), and takes it off k's own
 linear factors (:func:`_gcd_exponents`): by unique factorisation in
@@ -325,7 +328,8 @@ def build_k(c: Sequence) -> Poly:
     raises the same errors.
     """
     kind, shifts, _ = _linear_factors(c)
-    return _build_k(_factor_pairs(kind, shifts))
+    k = _build_k(_factor_pairs(kind, shifts))
+    return _rational(k, Fraction(1, k[-1]))
 
 
 def _factor_pairs(kind: str, shifts: list | np.ndarray) -> list[tuple[int, int]]:
@@ -337,8 +341,15 @@ def _factor_pairs(kind: str, shifts: list | np.ndarray) -> list[tuple[int, int]]
     return [(d, n) for n, d in map(float.as_integer_ratio, shifts.tolist())]
 
 
-def _build_k(shifts: list[tuple[int, int]]) -> Poly:
-    """:func:`build_k` of the shifts' (d, n) pairs."""
+def _build_k(shifts: list[tuple[int, int]]) -> list[int]:
+    """The integer vector of k for the shifts' (d, n) pairs, in ascending
+    degree: the product of the factors (d theta + n).  Each factor is
+    primitive, so by Gauss's lemma the vector is primitive, and its
+    leading entry is the product of the d, which is positive;
+    :func:`build_k` is this vector over that entry.  The algebraic count
+    hands the integer derivative of this vector to :func:`_gcd_exponents`
+    with its content left in: any nonzero integer multiple of h gives
+    the same exponents there, since every factor of k is primitive."""
     # the odd factor out first, then two factors per pass: multiply by
     # (a1 theta + b1)(a2 theta + b2) = A theta^2 + B theta + C, so
     # new[j] = A*old[j-2] + B*old[j-1] + C*old[j]
@@ -350,7 +361,7 @@ def _build_k(shifts: list[tuple[int, int]]) -> Poly:
                   *[qa * x + qb * y + qc * z
                     for x, y, z in zip([0, *coeffs], coeffs, [*coeffs[1:], 0])],
                   qa * coeffs[-1]]
-    return _rational(coeffs, Fraction(1, coeffs[-1]))
+    return coeffs
 
 
 def build_h(c: Sequence) -> Poly:
@@ -408,11 +419,18 @@ def gcd(a: Poly, b: Poly) -> Poly:
 _SCREEN_BITS = 24
 
 
-def _gcd_exponents(pairs: list[tuple[int, int]], h: Poly) -> dict[tuple[int, int], int]:
-    """The exponents of gcd(h, k) for a nonzero h and the k whose factors
+def _gcd_exponents(pairs: list[tuple[int, int]], coeffs: list[int]) -> dict[tuple[int, int], int]:
+    """The exponents of gcd(h, k) for a nonzero h, given as its integer
+    vector ``coeffs``, highest degree first, and the k whose factors
     are the (d theta + n) of the lowest-terms (d, n) pairs given, d > 0:
     each distinct pair whose factor divides both, mapped to that
     factor's exponent.  deg gcd(h, k) is the sum of the values.
+
+    Any nonzero integer multiple c h of h gives the same exponents, so
+    the vector need not be primitive: each f_g is primitive, so by
+    Gauss's lemma f_g**v divides c h in Z[theta] exactly when it divides
+    h, and the screen below sees c h(t), whose factor c can raise a cap
+    but never lower it.
 
     Distinct pairs give pairwise coprime factors, so by unique
     factorisation in Q[theta] every divisor of k is a product of them,
@@ -430,7 +448,7 @@ def _gcd_exponents(pairs: list[tuple[int, int]], h: Poly) -> dict[tuple[int, int
 
     A one-sided screen caps each deflation first.  The integer H = h(t)
     at t = 2**24 is computed once, by shift-and-add Horner on h's
-    primitive vector, and the cap is the largest e <= n_g for which
+    integer vector, and the cap is the largest e <= n_g for which
     f_g(t)**e divides H.  f_g is primitive, so by Gauss's lemma
     f_g**v_g divides h in Z[theta], and then f_g(t)**v_g divides h(t):
     the cap is at least min(v_g, n_g), and deflation up to it measures
@@ -439,7 +457,6 @@ def _gcd_exponents(pairs: list[tuple[int, int]], h: Poly) -> dict[tuple[int, int
     share integer factors.  f_g(t) is 0 only for the shift -2**24,
     whose cap is n_g.
     """
-    coeffs = h._vector[::-1]
     value = 0
     for x in coeffs:
         value = (value << _SCREEN_BITS) + x

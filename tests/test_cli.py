@@ -377,6 +377,23 @@ class TestVerify:
         assert campaign.checks_run == 40
         assert len(calls) == campaign.checks_run
 
+    def test_exact_route_builds_no_poly(self, monkeypatch, capsys):
+        # the count runs on k's integer vector from _build_k to the
+        # exponents, the all-equal value included; a Poly is built only
+        # at the public edge (build_k, build_h, gcd and Poly's methods)
+        def refuse(*args):
+            raise AssertionError("the exact route built a Poly")
+
+        monkeypatch.setattr(polynomials, "_rational", refuse)
+        doc = mldegree.ml_degree_report([Fraction(-3, 7), 2, Fraction(-3, 7), Fraction(5, 3)])
+        assert doc["oracle"] == {"formula": 2, "algebraic": 2, "agree": True}
+        with pytest.raises(mldegree.AllEqualError) as got:
+            mldegree.ml_degree_algebraic([0.1] * 3)
+        assert (got.value.value, got.value.n) == (Fraction(0.1), 3)
+        assert run_campaign(20, 24, 11, [(2,), (2, 2), (3,)]).passed
+        assert main(["mldegree", "--c", "-3/7", "-3/7", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracle"]["agree"]
+
     def test_one_grouping_per_checked_trial(self, monkeypatch):
         calls = []
         real_profile = mldegree._profile

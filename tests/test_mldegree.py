@@ -498,7 +498,7 @@ class TestMlDegreeAlgebraic:
 
     @pytest.mark.parametrize("c", [
         [], [F(0)], [F(0), F(0)], [F(1), F(0), F(1)], [F(3), F(3), F(3)], [2, 2],
-        np.array([4, 4]), [F(1), 2.0], ["a", "b"],
+        np.array([4, 4]), [F(1), 2.0], ["a", "b"], [F(-3, 7)] * 4,
     ], ids=repr)
     def test_raises_what_the_exact_profile_raises(self, c):
         with pytest.raises(Exception) as got:

@@ -79,6 +79,14 @@ def multiply(a, b):
     return Poly(tuple(out))
 
 
+def integer_vector(p):
+    """An integer multiple of ``p``, highest degree first, as the count
+    takes h: the coefficients times their denominators' lcm, so the
+    vector need not be primitive."""
+    den = math.lcm(*[c.denominator for c in p.coeffs])
+    return [int(c * den) for c in reversed(p.coeffs)]
+
+
 def to_sympy(p, x):
     return sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(p.coeffs))
 
@@ -328,7 +336,8 @@ class TestGcd:
         b = multiply(shared, build_k([F(-2), F(5)]))
         assert gcd(a, b) == multiply(Poly((F(1, p), F(1))), Poly((F(-2), F(1))))
         c = [F(1, p), F(1, p), F(1, p), F(-2), F(3)]
-        assert polynomials._gcd_exponents([(p, 1)] * 3 + [(1, -2), (1, 3)], build_h(c)) == {(p, 1): 2}
+        h = integer_vector(build_h(c))
+        assert polynomials._gcd_exponents([(p, 1)] * 3 + [(1, -2), (1, 3)], h) == {(p, 1): 2}
 
     def test_gcd_of_a_4300_bit_common_factor(self):
         g = build_k([F(10**1300, 7), F(3)])
@@ -381,26 +390,31 @@ class TestGcdDegree:
         pairs = [(F(v).denominator, F(v).numerator) for v in shifts]
         x = sympy.Symbol("x")
         want = sympy.gcd(to_sympy(h, x), to_sympy(build_k(shifts), x))
-        assert sum(polynomials._gcd_exponents(pairs, h).values()) == sympy.Poly(want, x).degree()
+        got = polynomials._gcd_exponents(pairs, integer_vector(h))
+        assert sum(got.values()) == sympy.Poly(want, x).degree()
 
+    # h as the count takes it, an integer vector highest degree first.
     # (theta + 1) has the value 2**24 + 1 at the screen's point 2**24,
-    # which divides h(2**24) for these h, so the screen passes it and
-    # deflation decides; (theta + 2**24 + 2) has twice that value, so
-    # dividing h(2**24) by the first factor's value would lose it
+    # which divides h(2**24) for the first three h, so the screen passes
+    # it and deflation decides; (theta + 2**24 + 2) has twice that value,
+    # so dividing h(2**24) by the first factor's value would lose it.
+    # The last h, 6 (theta + 1)(theta + 3), is not primitive.
     @pytest.mark.parametrize("pairs,h,want", [
-        ([(1, 1)], Poly((2**24 + 2, 1)), {}),
-        ([(1, 1)] * 3, multiply(Poly((1, 1)), Poly((2**24 + 2, 1))), {(1, 1): 1}),
-        ([(1, 1)] * 2 + [(1, 2**24 + 2)] * 2, multiply(Poly((1, 1)), Poly((2**24 + 2, 1))),
+        ([(1, 1)], [1, 2**24 + 2], {}),
+        ([(1, 1)] * 3, [1, 2**24 + 3, 2**24 + 2], {(1, 1): 1}),
+        ([(1, 1)] * 2 + [(1, 2**24 + 2)] * 2, [1, 2**24 + 3, 2**24 + 2],
          {(1, 1): 1, (1, 2**24 + 2): 1}),
-    ], ids=["factor-value-divides", "square-of-factor-value-divides", "factor-values-share-a-factor"])
+        ([(1, 1)] * 2 + [(1, 3)], [6, 24, 18], {(1, 1): 1, (1, 3): 1}),
+    ], ids=["factor-value-divides", "square-of-factor-value-divides", "factor-values-share-a-factor",
+            "h-with-a-content"])
     def test_screen_passes_and_deflation_decides(self, pairs, h, want):
         assert polynomials._gcd_exponents(pairs, h) == want
 
     def test_shift_with_a_zero_factor_value(self):
         # (theta - 2**24) is 0 at the screen's point, and so is h there
-        h = multiply(Poly((-2**24, 1)), Poly((3, 1)))
+        h = [1, 3 - 2**24, -3 * 2**24]  # (theta - 2**24)(theta + 3)
         assert polynomials._gcd_exponents([(1, -2**24)] * 2 + [(1, 5)], h) == {(1, -2**24): 1}
-        assert polynomials._gcd_exponents([(1, -2**24)], Poly((3, 1))) == {}
+        assert polynomials._gcd_exponents([(1, -2**24)], [1, 3]) == {}
 
 
 class TestRootMultiplicity:
