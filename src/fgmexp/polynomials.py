@@ -35,18 +35,19 @@ mixture where a rational is read is :class:`ScalarModeError`, and a
 Fraction with numpy-integer parts enters the arithmetic with Python ints,
 so nothing wraps.
 
-The exact operations work on integers from start to finish.  A
-polynomial is held as a primitive integer vector times a rational scale,
-and the Fraction coefficients are built from them on each read.
-:func:`build_k` multiplies the integer factors (d_i theta + n_i) of the
+A :class:`Poly` holds its Fraction coefficients and nothing else.
+Integer vectors live only where the arithmetic runs on them:
+:func:`_build_k` multiplies the integer factors (d_i theta + n_i) of the
 shifts n_i/d_i, two to a pass as one quadratic; each factor is
-primitive, so by Gauss's lemma so is the product, which
-:func:`build_k` wraps into a :class:`Poly` once, and h = k' is its
-integer derivative divided by its content.
-:func:`root_multiplicity` deflates the integer vector by synthetic
-division.  The algebraic count never builds a :class:`Poly`: it takes
-k's integer vector from :func:`_build_k` and hands the integer vector
-of k' to :func:`_gcd_exponents`.
+primitive, so by Gauss's lemma so is the product.  :func:`build_k`
+divides that vector by its leading entry into Fractions once, and
+:func:`build_h` divides the vector's integer derivative by it.  The
+algebraic count never builds a :class:`Poly`: it takes k's integer
+vector from :func:`_build_k` and hands the integer vector of k' to
+:func:`_gcd_exponents`.  :func:`gcd` and :func:`root_multiplicity` take
+their inputs' integer vectors, the coefficients times the lcm of their
+denominators, when they are called, and run a remainder sequence and a
+synthetic division on them.
 
 The algebraic count needs deg gcd(h, k), and takes it off k's own
 linear factors (:func:`_gcd_exponents`): by unique factorisation in
@@ -132,31 +133,31 @@ def scalar_kind(values: Sequence) -> str | None:
     return None
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False)
 class Poly:
     """Immutable univariate polynomial over the rationals, coefficients in
     ascending degree.
 
-    The zero polynomial is canonically the empty coefficient tuple and
-    has degree ``-inf``.  Nonzero polynomials never carry trailing zero
-    coefficients, so ``coeffs[-1]`` is the leading coefficient.
+    Its one field, ``coeffs``, is the tuple of Fractions in lowest terms;
+    a Poly holds nothing else, and integer vectors live only in
+    :func:`_build_k`, the algebraic count, :func:`gcd` and
+    :func:`root_multiplicity`.  Polynomials are equal exactly when their
+    ``coeffs`` are, and hash as their ``coeffs`` do.  The zero polynomial is
+    canonically the empty tuple and has degree ``-inf``.  Nonzero
+    polynomials never carry trailing zero coefficients, so
+    ``coeffs[-1]`` is the leading coefficient.
 
-    A polynomial is held as a primitive integer vector whose leading
-    entry is positive, times a rational scale; its Fraction ``coeffs``
-    are built from them on each read.
-
-    ``coeffs`` is a one-dimensional sequence (read once) or ndarray whose
-    kind, by :func:`scalar_kind`, is rational; an empty one of any kind
-    is the zero polynomial.  The coefficients are read as exactly as
-    shift values, so a bool list and a bool array, or a Fraction of numpy
-    integers and of Python ints, give the same polynomial.  Raises
-    ScalarModeError ``coefficients of a rational polynomial must be
-    one-dimensional and all rational`` for anything else: a float, a
-    string or a mixture among them.
+    The argument ``coeffs`` is a one-dimensional sequence (read once) or
+    ndarray whose kind, by :func:`scalar_kind`, is rational; an empty one
+    of any kind is the zero polynomial.  The coefficients are read as
+    exactly as shift values, so a bool list and a bool array, or a
+    Fraction of numpy integers and of Python ints, give the same
+    polynomial.  Raises ScalarModeError ``coefficients of a rational
+    polynomial must be one-dimensional and all rational`` for anything
+    else: a float, a string or a mixture among them.
     """
 
-    _vector: tuple
-    _scale: Fraction
+    coeffs: tuple
 
     def __init__(self, coeffs: Iterable):
         values = coeffs if isinstance(coeffs, (list, np.ndarray)) else list(coeffs)
@@ -165,33 +166,24 @@ class Poly:
             raise ScalarModeError(
                 "coefficients of a rational polynomial must be one-dimensional and all rational")
         pairs = _exact_pairs(values)
-        den = math.lcm(*[d for d, _ in pairs])
-        _setup(self, *_canonical([n * (den // d) for d, n in pairs], Fraction(1, den)))
-
-    def __repr__(self):
-        return f"Poly(coeffs={self.coeffs!r})"
+        while pairs and not pairs[-1][1]:
+            pairs.pop()
+        object.__setattr__(self, "coeffs", tuple(Fraction(n, d) for d, n in pairs))
 
     # -- structure ---------------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple:
-        """The coefficients in ascending degree, Fractions in lowest terms
-        built on each read."""
-        num, den = self._scale.numerator, self._scale.denominator
-        return tuple(Fraction(x * num, den) for x in self._vector)
-
-    @property
     def degree(self):
         """Degree of the polynomial; ``-inf`` for the zero polynomial."""
-        return len(self._vector) - 1 if self._vector else float("-inf")
+        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
 
     @property
     def is_zero(self) -> bool:
-        return not self._vector
+        return not self.coeffs
 
     @property
     def leading_coefficient(self) -> Fraction:
-        return self._scale * self._vector[-1] if self._vector else Fraction(0)
+        return self.coeffs[-1] if self.coeffs else Fraction(0)
 
     # -- operations ---------------------------------------------------------
 
@@ -203,52 +195,49 @@ class Poly:
         ScalarModeError ``points of a rational polynomial must be
         rational``.
         """
-        # Horner's rule on d**deg p(n/d): each step multiplies by n, and
-        # the coefficient taken at step j by d**j
         d, n = _rational_point(t)
-        acc, power = 0, 1
-        for x in reversed(self._vector):
-            acc, power = acc * n + x * power, power * d
-        return self._scale * Fraction(acc * d, power)
+        point, acc = Fraction(n, d), Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * point + c
+        return acc
 
     __call__ = eval
 
     def derivative(self) -> "Poly":
         """Formal derivative; drops the degree by one for non-constants."""
-        return _rational([i * c for i, c in enumerate(self._vector) if i > 0], self._scale)
+        return _poly(tuple(i * c for i, c in enumerate(self.coeffs[1:], 1)))
 
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ValueError("the zero polynomial has no monic form")
-        return _rational(list(self._vector), Fraction(1, self._vector[-1]))
+        lead = self.coeffs[-1]
+        return _poly(tuple(c / lead for c in self.coeffs))
 
 
-def _setup(p: Poly, vector: tuple, scale: Fraction) -> None:
-    object.__setattr__(p, "_vector", vector)
-    object.__setattr__(p, "_scale", scale)
+def _poly(coeffs: tuple) -> Poly:
+    """The polynomial of ``coeffs``, Fractions already in lowest terms with
+    no trailing zero, wrapped without :class:`Poly`'s reading."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "coeffs", coeffs)
+    return p
 
 
-def _canonical(ints: list[int], scale: Fraction) -> tuple[tuple, Fraction]:
-    """The primitive vector with positive leading entry and the scale that
-    together equal ``scale * ints``; trailing zeros are dropped."""
-    while ints and not ints[-1]:
-        ints.pop()
+def _integer_vector(p: Poly) -> list[int]:
+    """An integer multiple of ``p`` in ascending degree: its coefficients
+    times the lcm of their denominators, not necessarily primitive."""
+    den = math.lcm(*[c.denominator for c in p.coeffs])
+    return [c.numerator * (den // c.denominator) for c in p.coeffs]
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    """The primitive part of an integer vector, leading entry positive;
+    the empty vector is its own."""
     if not ints:
-        return (), Fraction(0)
+        return ints
     content = math.gcd(*ints)
     if ints[-1] < 0:
         content = -content
-    if content != 1:
-        ints = [x // content for x in ints]
-        scale *= content
-    return tuple(ints), scale
-
-
-def _rational(ints: list[int], scale: Fraction) -> Poly:
-    """The polynomial ``scale * sum(ints[i] theta**i)``."""
-    p = object.__new__(Poly)
-    _setup(p, *_canonical(ints, scale))
-    return p
+    return ints if content == 1 else [x // content for x in ints]
 
 
 def _exact_pairs(values: Sequence) -> list[tuple[int, int]]:
@@ -327,9 +316,8 @@ def build_k(c: Sequence) -> Poly:
     reader, :func:`_linear_factors`, so it accepts the same values and
     raises the same errors.
     """
-    kind, shifts, _ = _linear_factors(c)
-    k = _build_k(_factor_pairs(kind, shifts))
-    return _rational(k, Fraction(1, k[-1]))
+    k = _build_k(_factor_pairs(*_linear_factors(c)[:2]))
+    return _poly(tuple(Fraction(x, k[-1]) for x in k))
 
 
 def _factor_pairs(kind: str, shifts: list | np.ndarray) -> list[tuple[int, int]]:
@@ -368,21 +356,25 @@ def build_h(c: Sequence) -> Poly:
     """Build the score numerator: the sum over i of prod_{j != i}(theta + c_j).
 
     Constructed as the formal derivative of :func:`build_k`, which is the
-    same polynomial in O(n^2) scalar operations instead of O(n^3).  The
-    degree is exactly n-1 and the leading coefficient is n.  It takes
-    the values and raises the errors of :func:`build_k`, and like it is
-    exact for float shifts.
+    same polynomial in O(n^2) scalar operations instead of O(n^3): the
+    Fractions are those of the integer derivative of k's vector over its
+    leading entry.  The degree is exactly n-1 and the leading
+    coefficient is n.  It takes the values and raises the errors of
+    :func:`build_k`, and like it is exact for float shifts.
     """
-    return build_k(c).derivative()
+    k = _build_k(_factor_pairs(*_linear_factors(c)[:2]))
+    return _poly(tuple(Fraction(i * x, k[-1]) for i, x in enumerate(k[1:], 1)))
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor, by a primitive remainder sequence.
 
-    It works on the primitive integer vectors that the inputs hold.
-    Each step replaces the longer vector f by the pseudo-remainder of f
-    by the shorter g, lc(g)**(deg f - deg g + 1) f mod g, made primitive
-    with a positive leading entry by :func:`_canonical`.  Over the
+    A :class:`Poly` holds only its Fractions, so this takes the inputs'
+    integer vectors, their coefficients times the lcm of their
+    denominators, when it is called, and works on them.  Each step
+    replaces the longer vector f by the pseudo-remainder of f by the
+    shorter g, lc(g)**(deg f - deg g + 1) f mod g, made primitive with a
+    positive leading entry by :func:`_primitive`.  Over the
     rationals a pseudo-remainder is the remainder times a nonzero
     constant, so each step keeps the gcd, and the last nonzero vector is
     the gcd up to a scale.  The result is exact and deterministic.
@@ -398,7 +390,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    f, g = a._vector, b._vector
+    f, g = _integer_vector(a), _integer_vector(b)
     while g:
         # the pseudo-remainder: each pass takes lc(g) f - lc(f) theta**shift g,
         # whose leading term cancels
@@ -408,8 +400,8 @@ def gcd(a: Poly, b: Poly) -> Poly:
                  + [lead * x - q * y for x, y in zip(f[shift:-1], g)])
             while f and not f[-1]:
                 f.pop()
-        f, g = g, _canonical(list(f), Fraction(1))[0]
-    return _rational(list(f), Fraction(1, f[-1]))
+        f, g = g, _primitive(f)
+    return _poly(tuple(Fraction(x, f[-1]) for x in f))
 
 
 # The screen's point is 2**_SCREEN_BITS.  A factor's value d * 2**24 + n
@@ -504,9 +496,10 @@ def root_multiplicity(p: Poly, r) -> int:
     """Exact multiplicity of ``r`` as a root of ``p``, by deflation.
 
     With r = s/t in lowest terms, ``r`` is a root exactly when the
-    primitive integer factor (t theta - s) divides the primitive integer
-    vector that ``p`` holds (Gauss's lemma); :func:`_deflate` counts
-    how often.  Integer arithmetic only, zero tolerance.
+    primitive integer factor (t theta - s) divides the integer vector of
+    ``p``, its coefficients times the lcm of their denominators (Gauss's
+    lemma); :func:`_deflate` counts how often.  Integer arithmetic only,
+    zero tolerance.
 
     ``r`` is read as :meth:`Poly.eval` reads a point: anything but a
     rational scalar, a float or a string among them, is ScalarModeError.
@@ -515,7 +508,7 @@ def root_multiplicity(p: Poly, r) -> int:
     if p.is_zero:
         raise ValueError("every point is a root of the zero polynomial")
     t, s = _rational_point(r)
-    return _deflate(p._vector[::-1], t, s, p.degree)[0]
+    return _deflate(_integer_vector(p)[::-1], t, s, p.degree)[0]
 
 
 def parse_rational(text: str) -> Fraction:

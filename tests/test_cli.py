@@ -380,11 +380,13 @@ class TestVerify:
     def test_exact_route_builds_no_poly(self, monkeypatch, capsys):
         # the count runs on k's integer vector from _build_k to the
         # exponents, the all-equal value included; a Poly is built only
-        # at the public edge (build_k, build_h, gcd and Poly's methods)
+        # at the public edge (build_k, build_h, gcd and Poly's methods),
+        # by Poly() or by the private constructor that wraps Fractions
         def refuse(*args):
             raise AssertionError("the exact route built a Poly")
 
-        monkeypatch.setattr(polynomials, "_rational", refuse)
+        monkeypatch.setattr(polynomials.Poly, "__init__", refuse)
+        monkeypatch.setattr(polynomials, "_poly", refuse)
         doc = mldegree.ml_degree_report([Fraction(-3, 7), 2, Fraction(-3, 7), Fraction(5, 3)])
         assert doc["oracle"] == {"formula": 2, "algebraic": 2, "agree": True}
         with pytest.raises(mldegree.AllEqualError) as got:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -158,6 +159,28 @@ class TestPoly:
         assert Poly((F(-8), F(-2), F(1))).derivative().coeffs == (F(-2), F(2))
         assert Poly((F(7),)).derivative().is_zero
         assert Poly((F(2), F(5), F(4), F(1))).derivative().coeffs == (F(5), F(8), F(3))
+
+    def test_coeffs_is_the_one_field(self):
+        assert [f.name for f in dataclasses.fields(Poly)] == ["coeffs"]
+
+    def test_coeffs_is_held_not_rebuilt_on_each_read(self):
+        p = build_h([F(-3, 7), F(-3, 7), 2])
+        assert p.coeffs is p.coeffs
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_equal_and_hash_alike_exactly_when_the_coeffs_are(self, data):
+        values = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=3)
+        a = data.draw(values)
+        # the same values with trailing zeros, as ints where they are
+        # integers, or an independent list
+        b = data.draw(st.one_of(values, st.integers(0, 2).map(
+            lambda zeros: [int(v) if v.denominator == 1 else v for v in a] + [0] * zeros)))
+        p, q = Poly(a), Poly(b)
+        assert (p == q) == (p.coeffs == q.coeffs)
+        # alike exactly when the coefficients hash alike, which unequal
+        # ones may: Fraction(-1) and Fraction(-2) hash alike
+        assert (hash(p) == hash(q)) == (hash(p.coeffs) == hash(q.coeffs))
 
 
 def loop_build_k(c, one):
